@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -29,20 +30,24 @@ from .keywrite import (
     KwStore,
     QueryOutcome,
     QueryPolicy,
+    kw_age_sweep,
     kw_query,
     kw_write,
     stream_key,
     stream_value,
 )
-from .memstore import MemoryRegion, QueuePair, apply_verb
+# apply_verb is not called here: bench/spans.py wraps this name in this module
+from .memstore import MemoryRegion, apply_verb  # noqa: F401
 from .postcarding import (
     EmissionReason,
+    EmittedChunk,
     PathOutcome,
     PostcardCache,
     PostcardStore,
     pc_ingest,
     pc_query,
     pc_write,
+    _next_pow2,
 )
 
 
@@ -80,7 +85,6 @@ def read_csv(fh: TextIO) -> tuple[dict, list[dict]]:
     """Parse a suite CSV back: (# metadata, data rows)."""
     meta = {}
     rows = []
-    reader = None
     fieldnames = None
     for line in fh:
         if line.startswith("#"):
@@ -89,7 +93,6 @@ def read_csv(fh: TextIO) -> tuple[dict, list[dict]]:
             continue
         if fieldnames is None:
             fieldnames = next(csv.reader([line]))
-            reader = csv.DictReader([], fieldnames=fieldnames)
             continue
         parsed = next(csv.DictReader([line], fieldnames=fieldnames))
         if None in parsed or any(v is None for v in parsed.values()):
@@ -152,16 +155,11 @@ def kw_monte_carlo(
         MemoryRegion(buflen * ((checksum_bits + 7) // 8 + value_len)),
         buflen, checksum_bits, value_len, family=family,
     )
-    qp = QueuePair()
-    psn = 0
+    collector = sim.Collector(store.region)
 
-    def write(index: int) -> int:
-        nonlocal psn
+    def write(index: int) -> None:
         key = stream_key(seed, index)
-        for verb in kw_write(store, key, stream_value(key, value_len), redundancy):
-            apply_verb(store.region, qp, psn, verb)
-            psn = (psn + 1) % (1 << 24)
-        return index
+        collector.apply(kw_write(store, key, stream_value(key, value_len), redundancy))
 
     for i in range(k_dist):
         write(i)
@@ -230,8 +228,6 @@ def _suite_kw_longevity(params: dict, seed: int) -> list[dict]:
         MemoryRegion(buflen * ((params["checksum_bits"] + 7) // 8 + params["value_len"])),
         buflen, params["checksum_bits"], params["value_len"], family=family,
     )
-    from .keywrite import kw_age_sweep
-
     buckets = kw_age_sweep(
         store, params["redundancy"], params["n_keys"], params["ages"],
         window=params["window"], seed=seed,
@@ -304,22 +300,15 @@ def pc_monte_carlo(
     family = HashFamily(seed)
     universe = 2 ** value_bits
     codec = ValueCodec(family, universe, cell_bits)
-    from .postcarding import _next_pow2
-
     stride = _next_pow2((cell_bits + 7) // 8 * hops)
     store = PostcardStore(MemoryRegion(chunks * stride), chunks, hops, cell_bits,
                           codec, family=family)
-    qp = QueuePair()
-    psn = 0
-    from .postcarding import EmittedChunk
+    collector = sim.Collector(store.region)
 
     def write(flow_id: int) -> None:
-        nonlocal psn
         cells = tuple(pc_stream_values(seed, flow_id, hops, universe))
         chunk = EmittedChunk(flow_id, cells, EmissionReason.COMPLETE)
-        for verb in pc_write(store, chunk, redundancy):
-            apply_verb(store.region, qp, psn, verb)
-            psn = (psn + 1) % (1 << 24)
+        collector.apply(pc_write(store, chunk, redundancy))
 
     def canonical(flow: int) -> list:
         return [codec.decode(codec.encode(v))
@@ -423,21 +412,13 @@ def append_reference_run(batch_size: int, entry_len: int, lists: int, capacity: 
     """
     region = MemoryRegion(lists * capacity * entry_len)
     engine = AppendEngine(batch_size)
-    qp = QueuePair()
-    psn = 0
+    collector = sim.Collector(region)
     for i in range(lists):
         engine.add_list(AppendList(i, i * capacity * entry_len, capacity, entry_len))
-
-    def run_verbs(verbs):
-        nonlocal psn
-        for verb in verbs:
-            apply_verb(region, qp, psn, verb)
-            psn = (psn + 1) % (1 << 24)
-
     for list_id, entry in sequence:
-        run_verbs(engine.ingest(list_id, entry))
+        collector.apply(engine.ingest(list_id, entry))
     for i in range(lists):
-        run_verbs(engine.flush(i))
+        collector.apply(engine.flush(i))
     polled = {}
     for i in range(lists):
         cursor = PollCursor(i)
@@ -447,8 +428,6 @@ def append_reference_run(batch_size: int, entry_len: int, lists: int, capacity: 
 
 
 def _suite_append_bench(params: dict, seed: int) -> list[dict]:
-    import random
-
     rng = random.Random(f"{seed}:append-bench")
     rows = []
     for case in range(params["cases"]):
@@ -482,14 +461,11 @@ APPEND_BENCH_FIELDS = (
 def ki_accuracy_run(buflen: int, redundancy: int, stream_len: int, key_space: int,
                     max_delta: int, seed: int) -> dict:
     """Randomized increment stream checked against an exact per-key map."""
-    import random
-
     rng = random.Random(f"{seed}:ki")
     family = HashFamily(seed)
     region = MemoryRegion(buflen * 8)
     store = KiStore(region, buflen, family=family)
-    qp = QueuePair()
-    psn = 0
+    collector = sim.Collector(region)
     exact: dict[bytes, int] = {}
     total = 0
     for _ in range(stream_len):
@@ -497,9 +473,7 @@ def ki_accuracy_run(buflen: int, redundancy: int, stream_len: int, key_space: in
         delta = rng.randint(0, max_delta)
         exact[key] = exact.get(key, 0) + delta
         total += delta
-        for verb in ki_increment(store, key, delta, redundancy):
-            apply_verb(region, qp, psn, verb)
-            psn = (psn + 1) % (1 << 24)
+        collector.apply(ki_increment(store, key, delta, redundancy))
 
     violations = 0
     overestimates = []

@@ -183,15 +183,12 @@ class AgeBucket:
 
 def kw_write_stream(store: KwStore, n_redundancy: int, n_keys: int, seed: int) -> None:
     """Write the deterministic key stream 0..n_keys-1 through verbs."""
-    from .memstore import QueuePair, apply_verb
+    from .sim import Collector  # sim imports this module
 
-    qp = QueuePair()
-    psn = 0
+    collector = Collector(store.region)
     for i in range(n_keys):
         key = stream_key(seed, i)
-        for verb in kw_write(store, key, stream_value(key, store.value_len), n_redundancy):
-            apply_verb(store.region, qp, psn, verb)
-            psn = (psn + 1) % (1 << 24)
+        collector.apply(kw_write(store, key, stream_value(key, store.value_len), n_redundancy))
 
 
 def kw_measure_ages(

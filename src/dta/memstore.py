@@ -1,7 +1,7 @@
 """Emulated collector memory and the one-sided verb subset used against it.
 
 The collector's NIC and registered memory are modeled as a flat byte region
-plus Write / Fetch-and-Add / Read verbs applied through a queue pair.  The
+plus Write and Fetch-and-Add verbs applied through a queue pair.  The
 queue pair enforces strictly sequential 24-bit packet sequence numbers: any
 gap desynchronizes it and every later verb is rejected until an explicit
 reset, which is what makes loss on the translator-collector leg catastrophic
@@ -54,13 +54,7 @@ class FetchAdd:
     addend: int  # unsigned 64-bit
 
 
-@dataclass(frozen=True)
-class Read:
-    address: int
-    length: int
-
-
-Verb = Union[Write, FetchAdd, Read]
+Verb = Union[Write, FetchAdd]
 
 
 @dataclass(frozen=True)
@@ -68,13 +62,11 @@ class VerbResult:
     """Outcome of presenting one verb packet to the queue pair.
 
     ``accepted`` is False when the verb was rejected by PSN state (the verb
-    had no effect).  ``old_value`` carries the pre-add counter for FetchAdd;
-    ``data`` carries Read results.
+    had no effect).  ``old_value`` carries the pre-add counter for FetchAdd.
     """
 
     accepted: bool
     old_value: Optional[int] = None
-    data: Optional[bytes] = None
 
 
 class MemoryRegion:
@@ -101,18 +93,6 @@ class MemoryRegion:
         """Write the raw octets to a binary file for oracle comparison."""
         with open(path, "wb") as fh:
             fh.write(self._buf)
-
-    def hexdump(self, start: int = 0, length: Optional[int] = None) -> str:
-        """Debug text format: 16 bytes per line with offsets."""
-        if length is None:
-            length = self.size - start
-        self._check_span(start, length)
-        lines = []
-        for off in range(start, start + length, 16):
-            chunk = self._buf[off:min(off + 16, start + length)]
-            hexpart = " ".join(f"{byte:02x}" for byte in chunk)
-            lines.append(f"{off:08x}  {hexpart}")
-        return "\n".join(lines)
 
     def _check_span(self, address: int, length: int) -> None:
         if address < 0 or length < 0 or address + length > self.size:
@@ -141,12 +121,10 @@ def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> Ver
     if isinstance(verb, Write):
         buf[verb.address:verb.address + len(verb.payload)] = verb.payload
         return VerbResult(accepted=True)
-    if isinstance(verb, FetchAdd):
-        old = int.from_bytes(buf[verb.address:verb.address + 8], "little")
-        new = (old + verb.addend) % _U64_MOD
-        buf[verb.address:verb.address + 8] = new.to_bytes(8, "little")
-        return VerbResult(accepted=True, old_value=old)
-    return VerbResult(accepted=True, data=bytes(buf[verb.address:verb.address + verb.length]))
+    old = int.from_bytes(buf[verb.address:verb.address + 8], "little")
+    new = (old + verb.addend) % _U64_MOD
+    buf[verb.address:verb.address + 8] = new.to_bytes(8, "little")
+    return VerbResult(accepted=True, old_value=old)
 
 
 def reset_qp(qp: QueuePair, new_psn: int) -> None:
@@ -166,7 +144,5 @@ def _validate(region: MemoryRegion, verb: Verb) -> None:
         if not 0 <= verb.addend < _U64_MOD:
             raise ValueError(f"FetchAdd addend must be unsigned 64-bit, got {verb.addend}")
         region._check_span(verb.address, 8)
-    elif isinstance(verb, Read):
-        region._check_span(verb.address, verb.length)
     else:
         raise TypeError(f"unknown verb {verb!r}")

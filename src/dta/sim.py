@@ -28,7 +28,7 @@ from typing import Optional
 from . import append as append_mod
 from . import counters, flowctl, keywrite, postcarding, wire
 from .hashing import HashFamily, ValueCodec
-from .memstore import MemoryRegion, QueuePair, QpState, apply_verb, reset_qp
+from .memstore import PSN_MOD, MemoryRegion, QueuePair, apply_verb, reset_qp
 
 
 class ConfigError(ValueError):
@@ -197,6 +197,45 @@ def _region_layout(t: Topology) -> dict[str, int]:
     return layout
 
 
+class Collector:
+    """The collector end of the translator's one queue pair: every verb to memory.
+
+    ``apply`` stamps each verb with the next 24-bit PSN and applies it.  With
+    probability ``fault_drop`` a verb packet is lost on the way (it still uses
+    up its PSN), so the next verb desyncs the queue pair; the connection is
+    then re-established at the rejected PSN and the verb retried.
+    """
+
+    def __init__(self, region: MemoryRegion, fault_drop: float = 0.0,
+                 fault_rng: Optional[random.Random] = None):
+        self.region = region
+        self.qp = QueuePair()
+        self.next_psn = 0
+        self.fault_drop = fault_drop
+        self.fault_rng = fault_rng
+        self.verbs_applied = 0
+        self.verbs_faulted = 0
+        self.qp_desyncs = 0
+
+    def apply(self, verbs) -> None:
+        # apply_verb is looked up as this module's global on every call, so
+        # a wrapper installed on dta.sim.apply_verb sees every verb
+        region, qp = self.region, self.qp
+        for verb in verbs:
+            psn = self.next_psn
+            self.next_psn = (psn + 1) % PSN_MOD
+            if self.fault_drop and self.fault_rng.random() < self.fault_drop:
+                self.verbs_faulted += 1  # verb packet lost before the NIC
+                continue
+            if not apply_verb(region, qp, psn, verb).accepted:
+                # models the controller re-establishing the connection, then
+                # the RDMA layer retrying the rejected packet
+                self.qp_desyncs += 1
+                reset_qp(qp, psn)
+                apply_verb(region, qp, psn, verb)
+            self.verbs_applied += 1
+
+
 class Translator:
     """Translator-side assembly: flow control, primitive state, verb emission."""
 
@@ -204,12 +243,11 @@ class Translator:
         t = topology
         self.topology = t
         self.report = report
-        self.fault_rng = fault_rng
         self.family = HashFamily(t.hash_seed)
         layout = _region_layout(t)
-        self.region = MemoryRegion(layout["total"])
-        self.qp = QueuePair()
-        self.next_psn = 0
+        self.collector = Collector(MemoryRegion(layout["total"]),
+                                   t.translator.fault_drop_verbs, fault_rng)
+        self.region = self.collector.region
         self.flow = flowctl.TranslatorFlowState(
             flowctl.TokenBucket(t.translator.meter_rate, t.translator.meter_burst)
         )
@@ -288,25 +326,8 @@ class Translator:
         if packet.essential:
             key = (packet.reporter_id, packet.essential_seq)
             self.applied_essential[key] = self.applied_essential.get(key, 0) + 1
-        for verb in self.translate(packet):
-            self._apply_verb(verb)
+        self.collector.apply(self.translate(packet))
         self.report.reports_applied += 1
-
-    def _apply_verb(self, verb) -> None:
-        fault_p = self.topology.translator.fault_drop_verbs
-        psn = self.next_psn
-        self.next_psn = (self.next_psn + 1) % (1 << 24)
-        if fault_p and self.fault_rng.random() < fault_p:
-            self.report.verbs_faulted += 1  # verb packet lost before the NIC
-            return
-        result = apply_verb(self.region, self.qp, psn, verb)
-        if not result.accepted and self.qp.state is QpState.DESYNCED:
-            # models the controller re-establishing the connection, then the
-            # RDMA layer retrying the rejected packet
-            self.report.qp_desyncs += 1
-            reset_qp(self.qp, psn)
-            apply_verb(self.region, self.qp, psn, verb)
-        self.report.verbs_applied += 1
 
 
 class _Reporter:
@@ -455,6 +476,10 @@ class Simulation:
         report.duplicates_suppressed = flow.duplicates_suppressed
         report.diverted = flow.diverted
         report.dropped_low_priority = flow.dropped_low_priority
+        collector = self.translator.collector
+        report.verbs_applied = collector.verbs_applied
+        report.verbs_faulted = collector.verbs_faulted
+        report.qp_desyncs = collector.qp_desyncs
         report.exactly_once_ok = self._exactly_once()
         report.memory_sha256 = hashlib.sha256(self.translator.region.snapshot()).hexdigest()
         if dump_path is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -72,6 +73,26 @@ def test_every_suite_runs_and_roundtrips_csv(name):
     # nothing lost: every value survives the round trip as its string form
     for original, parsed in zip(result.rows, rows):
         assert {k: str(v) for k, v in original.items()} == parsed
+
+
+# sha256 of each suite's CSV at SMALL_PARAMS and seed 5
+PINNED_CSV_SHA256 = {
+    "append-bench": "416a09468a0e6cf4f8c32e90628be45e08811cf39c7b638a7e7c7c1625da8715",
+    "bounds": "5165ea19326fa8b1b5d0f13277aa34ed4ccd122caab0617affb7a26a3ea34a2f",
+    "flowctl-loss": "f3b3fd1c885ec6041320ae86544eae931131a75dca8d9a12abeaa83f3a4ac270",
+    "ki-accuracy": "84f258215e933aec6faa8e79da9cf2855630e54cfca367db94810fedf0b9478f",
+    "kw-longevity": "fcae755df7e16109ecc09b75de4cd5da354e34c2ad555bd72491723dbb923d58",
+    "kw-redundancy": "ecc87d657977727c2e357a3a093b5372b963fda69e3de502e39cf6100441707d",
+    "postcarding-accuracy": "b2a79326a619e15b952aac33ec1623353b77ee337d8c719d77c86ea71ace503e",
+    "postcarding-cache": "0584ac13fdbe6b6e69f5dbeb90d79688d2d6eb3e080725e1242dd9faae433fa9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SUITES))
+def test_suite_csv_is_pinned(name):
+    buf = io.StringIO()
+    write_csv(buf, experiment_suite(name, SMALL_PARAMS[name], seed=5))
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED_CSV_SHA256[name]
 
 
 def test_append_bench_all_cases_verify():

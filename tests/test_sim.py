@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from dta import sim
+from dta.memstore import PSN_MOD, FetchAdd, MemoryRegion, reset_qp
 from dta.keywrite import QueryOutcome, kw_query
 from dta.postcarding import PathOutcome, pc_query
 from dta.sim import (
+    Collector,
     ConfigError,
     LinkConfig,
     Simulation,
@@ -86,6 +90,25 @@ def test_fault_injection_desyncs_collector_qp():
     report = sim.run(faulty, wl, seed=4)
     assert report.verbs_faulted > 0
     assert report.qp_desyncs > 0
+
+
+def test_collector_stamps_psns_across_the_24_bit_wrap():
+    collector = Collector(MemoryRegion(8))
+    collector.next_psn = PSN_MOD - 2
+    reset_qp(collector.qp, PSN_MOD - 2)
+    collector.apply([FetchAdd(0, 1)] * 4)
+    assert collector.next_psn == 2
+    assert (collector.verbs_applied, collector.qp_desyncs) == (4, 0)
+    assert int.from_bytes(collector.region.read(0, 8), "little") == 4
+
+
+def test_collector_resyncs_after_a_lost_verb():
+    collector = Collector(MemoryRegion(8), fault_drop=0.3, fault_rng=random.Random(1))
+    collector.apply([FetchAdd(0, 1)] * 200)
+    assert collector.verbs_applied + collector.verbs_faulted == 200
+    assert 0 < collector.qp_desyncs <= collector.verbs_faulted
+    # every verb that was not lost reached memory, the retried ones included
+    assert int.from_bytes(collector.region.read(0, 8), "little") == collector.verbs_applied
 
 
 def test_postcard_run_aggregates_paths():
@@ -187,3 +210,68 @@ def test_config_roundtrip_build():
     assert topo.kw.buflen == 1024
     wl = workload_from_dict({"kind": "append-events", "reports": 10})
     assert wl.kind is WorkloadKind.APPEND_EVENTS
+
+
+# Counters every loss-free, fault-free run shares; each pinned case below
+# gives the fields its run changes.
+_CLEAN = dict(packets_lost=0, retransmissions=0, nacks_sent=0, nacks_lost=0,
+              duplicates_suppressed=0, congestion_signals=0, diverted=0,
+              dropped_low_priority=0, unrecoverable=0, verbs_faulted=0, qp_desyncs=0,
+              drained=True, exactly_once_ok=True)
+
+PINNED_RUNS = {
+    "kw-flows": (
+        Topology(reporters=2), Workload(WorkloadKind.KW_FLOWS, 300, reports_per_step=64),
+        dict(workload_kind="kw-flows", steps=4, reports_offered=300, packets_sent=302,
+             reports_applied=300, keepalives=2, verbs_applied=600,
+             memory_sha256="d4247da25c907d7193ed9c420f699ba2765d08b582b3cbe7f18ec849c34f6005"),
+    ),
+    "postcards": (
+        Topology(reporters=2), Workload(WorkloadKind.POSTCARDS, 300, reports_per_step=64),
+        dict(workload_kind="postcards", steps=4, reports_offered=300, packets_sent=302,
+             reports_applied=300, keepalives=2, verbs_applied=182,
+             memory_sha256="7c9bd787037ac21b6e99dd161ac1a1f9c21158bc8e5eb309bb0e31a848a79cc7"),
+    ),
+    "append-events": (
+        Topology(reporters=2),
+        Workload(WorkloadKind.APPEND_EVENTS, 300, reports_per_step=64),
+        dict(workload_kind="append-events", steps=4, reports_offered=300, packets_sent=302,
+             reports_applied=300, keepalives=2, verbs_applied=74,
+             memory_sha256="083b45fe21bbe9f966fd1787f365b8ac79fce4fa2f8b2418102dc8aadbfa84a0"),
+    ),
+    "ki-counters": (
+        Topology(reporters=2), Workload(WorkloadKind.KI_COUNTERS, 300, reports_per_step=64),
+        dict(workload_kind="ki-counters", steps=4, reports_offered=300, packets_sent=302,
+             reports_applied=300, keepalives=2, verbs_applied=600,
+             memory_sha256="2831c486a4e2ddb2e3b5397a9107abddad1eda113c0900976a46993628d12f27"),
+    ),
+    "sketch-columns": (
+        Topology(reporters=3), Workload(WorkloadKind.SKETCH_COLUMNS),
+        dict(workload_kind="sketch-columns", steps=2, reports_offered=48, packets_sent=51,
+             reports_applied=48, keepalives=3, verbs_applied=4,
+             memory_sha256="4b679e6f45cdc5c507983ef24a0213d2b2ea54209b9047df824e0425a1e12077"),
+    ),
+    "ki-counters-lossy": (
+        Topology(reporters=4, link=LinkConfig(0.01, 0.01)),
+        Workload(WorkloadKind.KI_COUNTERS, 2000, reports_per_step=64),
+        dict(workload_kind="ki-counters", steps=15, reports_offered=2000, packets_sent=2985,
+             packets_lost=35, reports_applied=2000, retransmissions=984, keepalives=1,
+             nacks_sent=29, nacks_lost=1, duplicates_suppressed=44, verbs_applied=4000,
+             memory_sha256="9a80232a28d4b3a23e3cf150d2dfcc337442916b3d123f211f64e47526e9c1b6"),
+    ),
+    "kw-flows-faulty": (
+        Topology(reporters=1, translator=TranslatorConfig(fault_drop_verbs=0.02)),
+        Workload(WorkloadKind.KW_FLOWS, 500, reports_per_step=64),
+        dict(workload_kind="kw-flows", steps=9, reports_offered=500, packets_sent=501,
+             reports_applied=500, keepalives=1, verbs_applied=976, verbs_faulted=24,
+             qp_desyncs=24,
+             memory_sha256="e2a2663eccba28748b268887151966d6b1505f167f2af4e8177c0ccf701f1e14"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_run_report_is_pinned(name):
+    """Every counter and the memory image of a seeded run stay byte-for-byte."""
+    topo, wl, expected = PINNED_RUNS[name]
+    assert sim.run(topo, wl, seed=17).to_dict() == {**_CLEAN, **expected}
