@@ -256,11 +256,11 @@ KW_LONGEVITY_FIELDS = (
 # Postcarding
 
 
-def pc_stream_values(seed: int, flow_id: int, hops: int, universe: int) -> list[int]:
+def pc_stream_values(family: HashFamily, flow_id: int, hops: int,
+                     universe: int) -> list[int]:
     """Deterministic per-flow hop values, recomputable at query time."""
-    fam = HashFamily(seed)
-    return [fam.raw64(Domain.WORKLOAD, hop, flow_id.to_bytes(8, "big")) % universe
-            for hop in range(hops)]
+    data = flow_id.to_bytes(8, "big")
+    return [family.raw64(Domain.WORKLOAD, hop, data) % universe for hop in range(hops)]
 
 
 @dataclass(frozen=True)
@@ -306,13 +306,13 @@ def pc_monte_carlo(
     collector = sim.Collector(store.region)
 
     def write(flow_id: int) -> None:
-        cells = tuple(pc_stream_values(seed, flow_id, hops, universe))
+        cells = tuple(pc_stream_values(family, flow_id, hops, universe))
         chunk = EmittedChunk(flow_id, cells, EmissionReason.COMPLETE)
         collector.apply(pc_write(store, chunk, redundancy))
 
     def canonical(flow: int) -> list:
         return [codec.decode(codec.encode(v))
-                for v in pc_stream_values(seed, flow, hops, universe)]
+                for v in pc_stream_values(family, flow, hops, universe)]
 
     for i in range(k_dist):
         write(i)

@@ -17,6 +17,8 @@ from hashlib import blake2b
 ALGORITHM_ID = "blake2b-64"
 
 _MASK64 = (1 << 64) - 1
+_U64 = struct.Struct("<Q")
+_DIGEST64 = struct.Struct(">Q")  # a digest read as a big-endian integer
 
 
 class Domain(IntEnum):
@@ -54,12 +56,14 @@ class HashFamily:
 
     ``raw64(domain, index, data)`` is a pure function of its arguments and
     ``seed_base``; two members with different (domain, index) behave as
-    independent functions.
+    independent functions.  Each member's keyed BLAKE2b state is built on
+    first use and kept, so a call copies it instead of keying a new one.
     """
 
     def __init__(self, seed_base: int = 0, description: str = ALGORITHM_ID):
         self.seed_base = seed_base & _MASK64
         self.description = description
+        self._states: dict[tuple[int, int], blake2b] = {}
 
     def __repr__(self) -> str:
         return f"HashFamily(seed_base={self.seed_base:#x}, {self.description!r})"
@@ -67,11 +71,18 @@ class HashFamily:
     def _key(self, domain: int, index: int) -> bytes:
         return struct.pack("<QQQ", self.seed_base, domain, index)
 
+    def _state(self, domain: int, index: int) -> blake2b:
+        """Keyed state of member (domain, index) before any data; never updated."""
+        state = self._states.get((domain, index))
+        if state is None:
+            state = self._states[domain, index] = blake2b(
+                digest_size=8, key=self._key(domain, index))
+        return state
+
     def raw64(self, domain: int, index: int, data: bytes) -> int:
-        return int.from_bytes(
-            blake2b(data, digest_size=8, key=self._key(domain, index)).digest(),
-            "big",
-        )
+        h = self._state(domain, index).copy()
+        h.update(data)
+        return _DIGEST64.unpack(h.digest())[0]
 
     def slot_hash(self, n: int, key: bytes, buflen: int) -> int:
         """Slot index of redundancy copy ``n`` of ``key`` in a ``buflen`` store.
@@ -128,23 +139,27 @@ class ValueCodec:
         self.family = family
         self.universe_size = universe_size
         self.bits = bits
-        self.collisions = 0
-        self._table: dict[int, object] = {}
         # BLANK is registered first so no in-universe collision can displace it.
         self._blank_code = self._raw_encode(BLANK)
-        self._table[self._blank_code] = BLANK
+        table: dict[int, object] = {self._blank_code: BLANK}
+        # Each value's hash input is the tag b"\x01" then the value, so every
+        # digest continues one keyed state that has already absorbed the tag.
+        prefix = family._state(Domain.PC_VALUE, 0).copy()
+        prefix.update(b"\x01")
+        fork, pack, unpack = prefix.copy, _U64.pack, _DIGEST64.unpack
+        register, shift = table.setdefault, 64 - bits
         for v in range(universe_size):
-            code = self._raw_encode(v)
-            if code in self._table:
-                self.collisions += 1
-            else:
-                self._table[code] = v
+            h = fork()
+            h.update(pack(v))
+            register(unpack(h.digest())[0] >> shift, v)
+        self._table = table
+        self.collisions = universe_size + 1 - len(table)
 
     def _raw_encode(self, v) -> int:
         if v is BLANK:
             data = b"\x00"
         else:
-            data = b"\x01" + struct.pack("<Q", v)
+            data = b"\x01" + _U64.pack(v)
         return self.family.raw64(Domain.PC_VALUE, 0, data) >> (64 - self.bits)
 
     def encode(self, v) -> int:

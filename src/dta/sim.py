@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import Optional
@@ -338,8 +339,8 @@ class _Reporter:
             reporter_id, topology.backlog_capacity,
             initial_rate=workload.reports_per_step,
         )
-        self.pending_bodies: list = []  # not yet stamped/sent
-        self.outbox: list[bytes] = []  # stamped, ready for the link
+        self.pending_bodies: deque = deque()  # not yet stamped/sent
+        self.outbox: deque[bytes] = deque()  # stamped, ready for the link
         self.inbox: list = []  # controls from the translator
 
     def queue_empty(self) -> bool:
@@ -408,10 +409,10 @@ class Simulation:
                 share = workload.reports // topology.reporters + (
                     1 if rep.state.reporter_id < workload.reports % topology.reporters else 0
                 )
-            rep.pending_bodies = _generate_bodies(
+            rep.pending_bodies = deque(_generate_bodies(
                 topology, workload, rep.state.reporter_id, share,
                 random.Random(f"{seed}:wl:{rep.state.reporter_id}"),
-            )
+            ))
             self.report.reports_offered += len(rep.pending_bodies)
 
     def run(self, dump_path=None) -> RunReport:
@@ -440,10 +441,10 @@ class Simulation:
                 budget = rep.state.rate
                 sent = 0
                 while rep.outbox and sent + 1 <= budget:
-                    arrivals.append(rep.outbox.pop(0))
+                    arrivals.append(rep.outbox.popleft())
                     sent += 1
                 while rep.pending_bodies and sent + 1 <= budget:
-                    body = rep.pending_bodies.pop(0)
+                    body = rep.pending_bodies.popleft()
                     flags = wire.make_flags(essential=self.workload.essential)
                     arrivals.append(rep.state.send(
                         wire.DtaPacket(body, rep.state.reporter_id, 0, flags)

@@ -1,10 +1,54 @@
+import struct
+from hashlib import blake2b
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dta.hashing import BLANK, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
 
 FAM = HashFamily(seed_base=0x5EED)
+
+
+def reference_raw64(seed: int, domain: int, index: int, data: bytes) -> int:
+    """The family's definition: a fresh keyed BLAKE2b-64 digest read big-endian."""
+    key = struct.pack("<QQQ", seed, domain, index)
+    return int.from_bytes(blake2b(data, digest_size=8, key=key).digest(), "big")
+
+
+def reference_codec_table(family: HashFamily, universe_size: int, bits: int):
+    """The codec's table built one value at a time: (table, collisions)."""
+    def code(data: bytes) -> int:
+        return family.raw64(Domain.PC_VALUE, 0, data) >> (64 - bits)
+
+    table = {code(b"\x00"): BLANK}
+    collisions = 0
+    for v in range(universe_size):
+        c = code(b"\x01" + struct.pack("<Q", v))
+        if c in table:
+            collisions += 1
+        else:
+            table[c] = v
+    return table, collisions
+
+
+# Calls interleaved over members and over two families with different seeds; data
+# beyond 128 bytes spans more than one BLAKE2b block.
+_CALLS = st.lists(
+    st.tuples(st.sampled_from([0x5EED, 0xD7A]), st.sampled_from(list(Domain)),
+              st.integers(0, 7), st.binary(max_size=200)),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=200)
+@given(_CALLS)
+@example([(0x5EED, d, 7, bytes(range(n % 256)) * 2) for d in Domain for n in (0, 64, 65, 150)])
+def test_raw64_matches_reference_formula(calls):
+    families = {0x5EED: HashFamily(0x5EED), 0xD7A: HashFamily(0xD7A)}
+    for seed, domain, index, data in calls + calls:  # the repeat reuses every kept state
+        assert families[seed].raw64(domain, index, data) == reference_raw64(
+            seed, domain, index, data)
 
 
 @given(st.binary(max_size=64), st.integers(0, 3), st.integers(1, 10000))
@@ -112,6 +156,26 @@ class TestValueCodec:
     def test_blank_not_all_zero_encoding(self):
         codec = ValueCodec(FAM, 1 << 10, 32)
         assert codec.encode(BLANK) != 0
+
+    @pytest.mark.parametrize("universe_size,bits", [
+        (1 << 12, 12),  # about 2^12 / e ~ 1,500 collisions
+        (64, 4),  # values collide with BLANK's code
+    ])
+    def test_table_matches_value_by_value_build(self, universe_size, bits):
+        codec = ValueCodec(FAM, universe_size, bits)
+        table, collisions = reference_codec_table(FAM, universe_size, bits)
+        assert codec._table == table
+        assert codec.collisions == collisions
+        assert collisions > universe_size // 4
+        blank_code = codec.encode(BLANK)
+        assert codec.decode(blank_code) is BLANK
+        for v in range(universe_size):
+            code = codec.encode(v)
+            first = codec.decode(code)  # the first-registered value with this code
+            assert first is BLANK if code == blank_code else first <= v
+            assert codec.encode(first) == code
+        if bits == 4:
+            assert any(codec.encode(v) == blank_code for v in range(universe_size))
 
     def test_unknown_code_decodes_to_none(self):
         codec = ValueCodec(FAM, 4, 32)
