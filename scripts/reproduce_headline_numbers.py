@@ -10,9 +10,9 @@ queryability at the preserved load factor).
 import argparse
 
 from dta import analysis
-from dta.experiments import kw_monte_carlo
+from dta.experiments import kw_measure_ages, kw_monte_carlo, kw_write_stream
 from dta.hashing import HashFamily
-from dta.keywrite import KwStore, QueryPolicy, kw_measure_ages, kw_write_stream
+from dta.keywrite import KwStore, QueryPolicy
 from dta.memstore import MemoryRegion
 
 

@@ -110,39 +110,24 @@ class Nack:
     expected_index: int
 
 
-@dataclass
-class ColumnTracker:
-    """Per-reporter in-order progress and per-column completion state."""
-
-    reporters: int
-    cols: int
-    last_in_order: dict[int, int] = field(default_factory=dict)  # reporter -> col
-    merged_count: list[int] = field(default_factory=list)
-    complete: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.merged_count:
-            self.merged_count = [0] * self.cols
-        if not self.complete:
-            self.complete = [False] * self.cols
-
-
 class SketchMergeState:
-    """Translator-held network-wide sketch under construction."""
+    """Translator-held network-wide sketch under construction and its merge progress."""
 
     def __init__(self, spec: SketchSpec, reporters: int):
         if reporters < 1:
             raise ValueError(f"reporters must be >= 1, got {reporters}")
         self.spec = spec
         self.reporters = reporters
-        self.tracker = ColumnTracker(reporters, spec.cols)
+        self.last_in_order: dict[int, int] = {}  # reporter -> last merged column
+        self.merged_count = [0] * spec.cols
+        self.complete = [False] * spec.cols
         # columns[c][r]: merged value of row r in column c
         self.columns = [[0] * spec.rows for _ in range(spec.cols)]
         self.flushed_cols = 0
 
     def first_incomplete(self) -> int:
         for c in range(self.spec.cols):
-            if not self.tracker.complete[c]:
+            if not self.complete[c]:
                 return c
         return self.spec.cols
 
@@ -156,7 +141,7 @@ def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
     """
     if len(col_values) != state.spec.rows:
         raise ValueError(f"expected {state.spec.rows} rows, got {len(col_values)}")
-    expected = state.tracker.last_in_order.get(reporter, -1) + 1
+    expected = state.last_in_order.get(reporter, -1) + 1
     if col_index != expected:
         return Nack(expected)
     if col_index >= state.spec.cols:
@@ -170,11 +155,11 @@ def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
         for r, v in enumerate(col_values):
             if v > column[r]:
                 column[r] = v
-    state.tracker.last_in_order[reporter] = col_index
-    state.tracker.merged_count[col_index] += 1
-    completed = state.tracker.merged_count[col_index] == state.reporters
+    state.last_in_order[reporter] = col_index
+    state.merged_count[col_index] += 1
+    completed = state.merged_count[col_index] == state.reporters
     if completed:
-        state.tracker.complete[col_index] = True
+        state.complete[col_index] = True
     return Merged(col_index, completed)
 
 

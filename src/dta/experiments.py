@@ -6,11 +6,13 @@ and accuracy, append batching verification, keyed-counter accuracy, and
 loss-recovery runs.  Rows carry the matching closed-form bound wherever one
 is defined so a plot or test can compare measurement against model directly.
 
-The Monte-Carlo engines use an interleaved design that gives every query an
-exact write-distance: after a warm-up of K distinct keys, each step writes
-one new key and queries the key written exactly K steps earlier.  Only
-writes that happened after a key can disturb it, so each query is a clean
-sample of the age-K outcome and one pass yields tens of thousands of them.
+The Key-Write and Postcarding Monte-Carlo runs share one engine, ``exact_age``,
+which gives every query an exact write-distance: after a warm-up of K distinct
+keys, each step writes one new key and queries the key written exactly K steps
+earlier.  Only writes that happened after a key can disturb it, so each query
+is a clean sample of the age-K outcome and one pass yields tens of thousands of
+them.  ``tally`` sorts answers into correct, empty, ambiguous and wrong
+(``McStats``), for ``exact_age`` and for the age sweeps of ``kw_measure_ages``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import hashlib
 import json
 import random
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -26,16 +29,7 @@ from . import analysis, sim
 from .append import AppendEngine, AppendList, PollCursor, append_poll
 from .counters import KiStore, ki_increment, ki_query
 from .hashing import ALGORITHM_ID, Domain, HashFamily, ValueCodec
-from .keywrite import (
-    KwStore,
-    QueryOutcome,
-    QueryPolicy,
-    kw_age_sweep,
-    kw_query,
-    kw_write,
-    stream_key,
-    stream_value,
-)
+from .keywrite import KwStore, QueryOutcome, QueryPolicy, kw_query, kw_write
 # apply_verb is not called here: bench/spans.py wraps this name in this module
 from .memstore import MemoryRegion, apply_verb  # noqa: F401
 from .postcarding import (
@@ -104,11 +98,13 @@ def read_csv(fh: TextIO) -> tuple[dict, list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Key-value store Monte-Carlo
+# The exact-age Monte-Carlo engine
 
 
 @dataclass(frozen=True)
-class KwMcStats:
+class McStats:
+    """Query outcomes of one Monte-Carlo measurement, one count per class."""
+
     trials: int
     correct: int
     empty: int
@@ -132,9 +128,94 @@ class KwMcStats:
         """The model's empty-return event: no usable answer produced."""
         return (self.empty + self.ambiguous) / self.trials
 
+    fail_rate = no_output_rate
+
     @property
     def wrong_rate(self) -> float:
         return self.wrong / self.trials
+
+
+KwMcStats = PcMcStats = McStats  # per-engine names that bench/ builds and annotates
+
+_EMPTY = (QueryOutcome.EMPTY, PathOutcome.EMPTY)
+_AMBIGUOUS = (QueryOutcome.AMBIGUOUS, PathOutcome.AMBIGUOUS)
+
+
+def tally(indexes: Iterable[int], query: Callable, expected: Callable) -> McStats:
+    """Query every index and classify the answers.
+
+    ``query(i)`` returns ``(outcome, answer)`` with a Key-Write or a
+    Postcarding outcome; an answer is correct when it equals ``expected(i)``.
+    """
+    trials = correct = empty = ambiguous = 0
+    for i in indexes:
+        trials += 1
+        outcome, answer = query(i)
+        if outcome in _EMPTY:
+            empty += 1
+        elif outcome in _AMBIGUOUS:
+            ambiguous += 1
+        elif answer == expected(i):
+            correct += 1
+    return McStats(trials, correct, empty, ambiguous, trials - correct - empty - ambiguous)
+
+
+def exact_age(write: Callable, query: Callable, expected: Callable, age: int,
+              queries: int) -> McStats:
+    """Tally ``queries`` keys, each queried exactly ``age`` writes after its own."""
+    for i in range(age):
+        write(i)
+
+    def written():
+        for t in range(age, age + queries):
+            write(t)
+            yield t - age
+
+    return tally(written(), query, expected)
+
+
+# ---------------------------------------------------------------------------
+# Key-value store Monte-Carlo
+
+
+def stream_key(seed: int, index: int) -> bytes:
+    """Deterministic distinct key for position ``index`` of a write stream."""
+    return struct.pack("<QQ", seed, index)
+
+
+def stream_value(key: bytes, value_len: int) -> bytes:
+    """Deterministic per-key value, recomputable at query time."""
+    return hashlib.blake2b(key, digest_size=value_len, key=b"kw-stream-value").digest()
+
+
+def _kw_store(buflen: int, checksum_bits: int, value_len: int, seed: int) -> KwStore:
+    region = MemoryRegion(buflen * ((checksum_bits + 7) // 8 + value_len))
+    return KwStore(region, buflen, checksum_bits, value_len, family=HashFamily(seed))
+
+
+def _kw_writer(store: KwStore, redundancy: int, seed: int) -> Callable[[int], None]:
+    """Writes the key at a stream position, through one collector."""
+    collector = sim.Collector(store.region)
+
+    def write(i: int) -> None:
+        key = stream_key(seed, i)
+        collector.apply(kw_write(store, key, stream_value(key, store.value_len), redundancy))
+
+    return write
+
+
+def _kw_probes(store: KwStore, redundancy: int, seed: int, threshold: int,
+               policy: QueryPolicy) -> tuple[Callable, Callable]:
+    """``query`` and ``expected`` of ``tally`` for the key at a stream position."""
+
+    def query(i: int) -> tuple:
+        res = kw_query(store, stream_key(seed, i), redundancy, threshold, policy)
+        return res.outcome, res.value
+
+    def expected(i: int) -> bytes:
+        return stream_value(stream_key(seed, i), store.value_len)
+
+    return query, expected
 
 
 def kw_monte_carlo(
@@ -147,36 +228,43 @@ def kw_monte_carlo(
     seed: int,
     policy: QueryPolicy = QueryPolicy.SINGLE_VALUE,
     threshold: int = 1,
-) -> KwMcStats:
+) -> McStats:
     """Empirical query outcomes at exact write-distance alpha*buflen."""
-    k_dist = round(alpha * buflen)
-    family = HashFamily(seed)
-    store = KwStore(
-        MemoryRegion(buflen * ((checksum_bits + 7) // 8 + value_len)),
-        buflen, checksum_bits, value_len, family=family,
-    )
-    collector = sim.Collector(store.region)
+    store = _kw_store(buflen, checksum_bits, value_len, seed)
+    return exact_age(_kw_writer(store, redundancy, seed),
+                     *_kw_probes(store, redundancy, seed, threshold, policy),
+                     round(alpha * buflen), queries)
 
-    def write(index: int) -> None:
-        key = stream_key(seed, index)
-        collector.apply(kw_write(store, key, stream_value(key, value_len), redundancy))
 
-    for i in range(k_dist):
+def kw_write_stream(store: KwStore, n_redundancy: int, n_keys: int, seed: int) -> None:
+    """Write the deterministic key stream 0..n_keys-1 through verbs."""
+    write = _kw_writer(store, n_redundancy, seed)
+    for i in range(n_keys):
         write(i)
-    correct = empty = ambiguous = wrong = 0
-    for t in range(k_dist, k_dist + queries):
-        write(t)
-        key = stream_key(seed, t - k_dist)
-        res = kw_query(store, key, redundancy, threshold, policy)
-        if res.outcome is QueryOutcome.EMPTY:
-            empty += 1
-        elif res.outcome is QueryOutcome.AMBIGUOUS:
-            ambiguous += 1
-        elif res.value == stream_value(key, value_len):
-            correct += 1
-        else:
-            wrong += 1
-    return KwMcStats(queries, correct, empty, ambiguous, wrong)
+
+
+def kw_measure_ages(
+    store: KwStore,
+    n_redundancy: int,
+    n_keys: int,
+    ages: list[int],
+    window: int = 1,
+    seed: int = 0,
+    threshold: int = 1,
+    policy: QueryPolicy = QueryPolicy.PLURALITY,
+) -> list[McStats]:
+    """Query outcomes per age bucket after ``kw_write_stream`` wrote ``n_keys``.
+
+    The key at stream position i has write-distance n_keys-1-i; each bucket
+    tallies the keys with distance in [age, age+window), clamped to the stream.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if ages and max(ages) >= n_keys:
+        raise ValueError(f"max age {max(ages)} needs more than {n_keys} keys")
+    query, expected = _kw_probes(store, n_redundancy, seed, threshold, policy)
+    return [tally(range(n_keys - min(age + window, n_keys), n_keys - age), query, expected)
+            for age in ages]
 
 
 def _kw_bounds(redundancy: int, checksum_bits: int, alpha: float) -> dict:
@@ -222,28 +310,19 @@ KW_REDUNDANCY_FIELDS = (
 
 
 def _suite_kw_longevity(params: dict, seed: int) -> list[dict]:
-    buflen = params["buflen"]
-    family = HashFamily(seed)
-    store = KwStore(
-        MemoryRegion(buflen * ((params["checksum_bits"] + 7) // 8 + params["value_len"])),
-        buflen, params["checksum_bits"], params["value_len"], family=family,
-    )
-    buckets = kw_age_sweep(
-        store, params["redundancy"], params["n_keys"], params["ages"],
-        window=params["window"], seed=seed,
-    )
-    rows = []
-    for bucket in buckets:
-        rows.append({
-            "age": bucket.age, "window": bucket.window,
-            "N": params["redundancy"], "b": params["checksum_bits"],
-            "success_rate": round(bucket.success_rate, 6),
-            "empty_rate": round(bucket.empty / bucket.trials, 6),
-            "wrong_rate": round(bucket.wrong / bucket.trials, 6),
-            "ambiguous_rate": round(bucket.ambiguous / bucket.trials, 6),
-            "trials": bucket.trials,
-        })
-    return rows
+    store = _kw_store(params["buflen"], params["checksum_bits"], params["value_len"], seed)
+    kw_write_stream(store, params["redundancy"], params["n_keys"], seed)
+    buckets = kw_measure_ages(store, params["redundancy"], params["n_keys"], params["ages"],
+                              window=params["window"], seed=seed)
+    return [{
+        "age": age, "window": bucket.trials,
+        "N": params["redundancy"], "b": params["checksum_bits"],
+        "success_rate": round(bucket.success_rate, 6),
+        "empty_rate": round(bucket.empty_rate, 6),
+        "wrong_rate": round(bucket.wrong_rate, 6),
+        "ambiguous_rate": round(bucket.ambiguous_rate, 6),
+        "trials": bucket.trials,
+    } for age, bucket in zip(params["ages"], buckets)]
 
 
 KW_LONGEVITY_FIELDS = (
@@ -263,23 +342,6 @@ def pc_stream_values(family: HashFamily, flow_id: int, hops: int,
     return [family.raw64(Domain.WORKLOAD, hop, data) % universe for hop in range(hops)]
 
 
-@dataclass(frozen=True)
-class PcMcStats:
-    trials: int
-    correct: int
-    empty: int
-    ambiguous: int
-    wrong: int
-
-    @property
-    def fail_rate(self) -> float:
-        return (self.empty + self.ambiguous) / self.trials
-
-    @property
-    def wrong_rate(self) -> float:
-        return self.wrong / self.trials
-
-
 def pc_monte_carlo(
     chunks: int,
     hops: int,
@@ -289,14 +351,13 @@ def pc_monte_carlo(
     alpha: float,
     queries: int,
     seed: int,
-) -> PcMcStats:
+) -> McStats:
     """Empirical chunk-query outcomes at exact report-distance alpha*chunks.
 
     Values whose encodings collide in the decode table are indistinguishable
     once stored, so correctness is judged against the canonical decode of the
     written values; ``wrong`` counts only the modeled misdecode event.
     """
-    k_dist = round(alpha * chunks)
     family = HashFamily(seed)
     universe = 2 ** value_bits
     codec = ValueCodec(family, universe, cell_bits)
@@ -310,26 +371,15 @@ def pc_monte_carlo(
         chunk = EmittedChunk(flow_id, cells, EmissionReason.COMPLETE)
         collector.apply(pc_write(store, chunk, redundancy))
 
-    def canonical(flow: int) -> list:
-        return [codec.decode(codec.encode(v))
-                for v in pc_stream_values(family, flow, hops, universe)]
-
-    for i in range(k_dist):
-        write(i)
-    correct = empty = ambiguous = wrong = 0
-    for t in range(k_dist, k_dist + queries):
-        write(t)
-        flow = t - k_dist
+    def query(flow: int) -> tuple:
         res = pc_query(store, flow, redundancy)
-        if res.outcome is PathOutcome.EMPTY:
-            empty += 1
-        elif res.outcome is PathOutcome.AMBIGUOUS:
-            ambiguous += 1
-        elif list(res.values) == canonical(flow):
-            correct += 1
-        else:
-            wrong += 1
-    return PcMcStats(queries, correct, empty, ambiguous, wrong)
+        return res.outcome, res.values
+
+    def canonical(flow: int) -> tuple:
+        return tuple(codec.decode(codec.encode(v))
+                     for v in pc_stream_values(family, flow, hops, universe))
+
+    return exact_age(write, query, canonical, round(alpha * chunks), queries)
 
 
 def _suite_postcarding_accuracy(params: dict, seed: int) -> list[dict]:

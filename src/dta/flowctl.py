@@ -88,9 +88,7 @@ class ReporterState:
         self.rate = initial_rate
         self.aimd = aimd or AimdConfig()
         self.evicted_unprotected = 0
-        self.unrecoverable_losses = 0
         self.retransmissions = 0
-        self._reset_through = 0  # highest sequence already declared lost
         self._signalled_this_step = False
 
     def send(self, packet: DtaPacket) -> bytes:
@@ -126,8 +124,6 @@ class ReporterState:
         if expected not in self.backlog:
             oldest = min(self.backlog) if self.backlog else self.essential_seq + 1
             if oldest > expected:
-                self.unrecoverable_losses += max(0, oldest - max(expected, self._reset_through))
-                self._reset_through = max(self._reset_through, oldest)
                 out.append(encode(SeqResetPacket(self.reporter_id, oldest)))
                 expected = oldest
         for seq in sorted(s for s in self.backlog if s >= expected):

@@ -19,10 +19,8 @@ snapshots and never mutate.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from hashlib import blake2b
 from typing import Optional
 
 from .hashing import HashFamily
@@ -152,102 +150,3 @@ def kw_query(
     if tied or top_count < threshold:
         return KwQueryResult(QueryOutcome.AMBIGUOUS, candidates=ranked)
     return KwQueryResult(QueryOutcome.VALUE, top_value, ranked)
-
-
-def stream_key(seed: int, index: int) -> bytes:
-    """Deterministic distinct key for position ``index`` of a write stream."""
-    return struct.pack("<QQ", seed, index)
-
-
-def stream_value(key: bytes, value_len: int) -> bytes:
-    """Deterministic per-key value, recomputable at query time."""
-    return blake2b(key, digest_size=value_len, key=b"kw-stream-value").digest()
-
-
-@dataclass(frozen=True)
-class AgeBucket:
-    """Measured query outcomes for keys written [age, age+window) inserts ago."""
-
-    age: int
-    window: int
-    trials: int
-    correct: int
-    empty: int
-    ambiguous: int
-    wrong: int
-
-    @property
-    def success_rate(self) -> float:
-        return self.correct / self.trials if self.trials else 0.0
-
-
-def kw_write_stream(store: KwStore, n_redundancy: int, n_keys: int, seed: int) -> None:
-    """Write the deterministic key stream 0..n_keys-1 through verbs."""
-    from .sim import Collector  # sim imports this module
-
-    collector = Collector(store.region)
-    for i in range(n_keys):
-        key = stream_key(seed, i)
-        collector.apply(kw_write(store, key, stream_value(key, store.value_len), n_redundancy))
-
-
-def kw_measure_ages(
-    store: KwStore,
-    n_redundancy: int,
-    n_keys: int,
-    ages: list[int],
-    window: int = 1,
-    seed: int = 0,
-    threshold: int = 1,
-    policy: QueryPolicy = QueryPolicy.PLURALITY,
-) -> list[AgeBucket]:
-    """Query outcome rates per age bucket against the current region state.
-
-    The key at stream position i has write-distance n_keys-1-i; each bucket
-    queries the keys with distance in [age, age+window), clamped to the
-    stream.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if ages and max(ages) >= n_keys:
-        raise ValueError(f"max age {max(ages)} needs more than {n_keys} keys")
-    buckets = []
-    for age in ages:
-        hi = min(age + window, n_keys)
-        correct = empty = ambiguous = wrong = 0
-        for dist in range(age, hi):
-            key = stream_key(seed, n_keys - 1 - dist)
-            res = kw_query(store, key, n_redundancy, threshold, policy)
-            if res.outcome is QueryOutcome.EMPTY:
-                empty += 1
-            elif res.outcome is QueryOutcome.AMBIGUOUS:
-                ambiguous += 1
-            elif res.value == stream_value(key, store.value_len):
-                correct += 1
-            else:
-                wrong += 1
-        buckets.append(AgeBucket(age, hi - age, hi - age, correct, empty, ambiguous, wrong))
-    return buckets
-
-
-def kw_age_sweep(
-    store: KwStore,
-    n_redundancy: int,
-    n_keys: int,
-    ages: list[int],
-    window: int = 1,
-    seed: int = 0,
-    threshold: int = 1,
-    policy: QueryPolicy = QueryPolicy.PLURALITY,
-) -> list[AgeBucket]:
-    """Write ``n_keys`` distinct keys, then measure queryability per age.
-
-    Since a key's slots can only be disturbed by writes that come after it,
-    the measured rate at a given age does not depend on how full the store
-    was beforehand.
-    """
-    if n_keys < 1:
-        raise ValueError("n_keys must be >= 1")
-    kw_write_stream(store, n_redundancy, n_keys, seed)
-    return kw_measure_ages(store, n_redundancy, n_keys, ages, window, seed,
-                           threshold, policy)

@@ -27,7 +27,6 @@ DEFAULT_SRC_PORT = 40000
 DEFAULT_DST_PORT = 4040
 
 FLAG_ESSENTIAL = 0x01
-FLAG_IMMEDIATE = 0x02
 
 _U16 = (1 << 16) - 1
 _U32 = (1 << 32) - 1
@@ -112,8 +111,8 @@ class PostcardBody:
 Body = Union[KeyWriteBody, AppendBody, KeyIncrementBody, SketchMergeBody, PostcardBody]
 
 
-def make_flags(essential: bool = False, immediate: bool = False) -> int:
-    return (FLAG_ESSENTIAL if essential else 0) | (FLAG_IMMEDIATE if immediate else 0)
+def make_flags(essential: bool = False) -> int:
+    return FLAG_ESSENTIAL if essential else 0
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,6 @@ class DtaPacket:
     @property
     def essential(self) -> bool:
         return bool(self.flags & FLAG_ESSENTIAL)
-
-    @property
-    def immediate(self) -> bool:
-        return bool(self.flags & FLAG_IMMEDIATE)
 
 
 @dataclass(frozen=True)

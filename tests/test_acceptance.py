@@ -18,14 +18,15 @@ from dta.counters import (
     sm_flush_completed,
     sm_ingest_column,
 )
-from dta.experiments import append_reference_run, ki_accuracy_run, kw_monte_carlo
-from dta.hashing import HashFamily
-from dta.keywrite import (
-    KwStore,
-    QueryPolicy,
+from dta.experiments import (
+    append_reference_run,
+    ki_accuracy_run,
     kw_measure_ages,
+    kw_monte_carlo,
     kw_write_stream,
 )
+from dta.hashing import HashFamily
+from dta.keywrite import KwStore, QueryPolicy
 from dta.memstore import MemoryRegion
 from dta import sim
 from dta import wire
@@ -224,7 +225,7 @@ def test_sketch_merge_oracle():
         oracle = [[fn(sketches[r][c][row] for r in range(reporters))
                    for row in range(rows)] for c in range(cols)]
         assert state.columns == oracle
-        assert all(state.tracker.complete)
+        assert all(state.complete)
         assert len(sm_flush_completed(state, 0, 4)) == cols // 4
 
 

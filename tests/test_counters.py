@@ -113,7 +113,7 @@ def test_single_reporter_all_columns_complete():
     state = SketchMergeState(SketchSpec(4, 8), reporters=1)
     sketch = random_sketch(random.Random(0), 4, 8)
     feed_in_order(state, 0, sketch)
-    assert all(state.tracker.complete)
+    assert all(state.complete)
     assert state.columns == sketch
 
 
@@ -124,7 +124,7 @@ def test_out_of_order_column_nacked_without_state_change():
     outcome = sm_ingest_column(state, 0, 2, [9, 9])
     assert outcome == Nack(expected_index=1)
     assert state.columns == before
-    assert state.tracker.merged_count[2] == 0
+    assert state.merged_count[2] == 0
 
 
 def test_nacked_column_recovers_to_loss_free_result():
@@ -145,7 +145,7 @@ def test_nacked_column_recovers_to_loss_free_result():
     for col in (1, 2, 3, 4):
         assert isinstance(sm_ingest_column(lossy, 1, col, sketches[1][col]), Merged)
     assert lossy.columns == clean.columns
-    assert lossy.tracker.complete == clean.tracker.complete
+    assert lossy.complete == clean.complete
 
 
 @pytest.mark.parametrize("op", [MergeOp.SUM, MergeOp.MAX])
@@ -166,7 +166,7 @@ def test_merge_matches_element_wise_oracle_under_interleaving(op):
     oracle = [[fn(sketches[r][c][row] for r in range(reporters))
                for row in range(rows)] for c in range(cols)]
     assert state.columns == oracle
-    assert all(state.tracker.complete)
+    assert all(state.complete)
 
 
 def test_merge_invariant_under_reporter_permutation():

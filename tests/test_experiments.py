@@ -144,3 +144,22 @@ def test_config_hash_tracks_params():
     assert a.config_hash != b.config_hash
     again = experiment_suite("bounds", {"alphas": [0.1]}, seed=2)
     assert a.config_hash == again.config_hash  # hash covers params, not seed
+
+
+# (trials, correct, empty, ambiguous, wrong) at settings where every outcome occurs
+PINNED_ENGINE_COUNTS = [
+    (lambda: kw_monte_carlo(1024, 4, 4, 2, 1.0, 2000, 7, policy=QueryPolicy.SINGLE_VALUE),
+     (2000, 479, 1327, 35, 159)),
+    (lambda: kw_monte_carlo(1024, 4, 4, 3, 1.0, 2000, 7, policy=QueryPolicy.PLURALITY,
+                            threshold=2),
+     (2000, 11, 1425, 560, 4)),
+    (lambda: pc_monte_carlo(1024, 5, 8, 6, 2, 1.0, 2000, 7), (2000, 484, 1514, 0, 2)),
+    (lambda: pc_monte_carlo(1024, 5, 6, 6, 2, 1.0, 2000, 7), (2000, 428, 1151, 81, 340)),
+]
+
+
+@pytest.mark.parametrize("run,expected", PINNED_ENGINE_COUNTS,
+                         ids=["kw-single-value", "kw-plurality", "pc-b8", "pc-b6"])
+def test_engine_counters_are_pinned(run, expected):
+    stats = run()
+    assert (stats.trials, stats.correct, stats.empty, stats.ambiguous, stats.wrong) == expected

@@ -123,7 +123,7 @@ def test_go_back_n_resends_from_expected():
     assert rep.retransmissions == 2
 
 
-def test_nack_for_evicted_seq_counts_unrecoverable_and_resets():
+def test_nack_for_evicted_seq_resets_to_oldest_survivor():
     rep = ReporterState(0, backlog_capacity=2)
     for _ in range(5):
         rep.send(essential_packet())  # backlog holds 4, 5
@@ -131,10 +131,6 @@ def test_nack_for_evicted_seq_counts_unrecoverable_and_resets():
     assert isinstance(out[0], SeqResetPacket)
     assert out[0].new_expected == 4
     assert [p.essential_seq for p in out[1:]] == [4, 5]
-    assert rep.unrecoverable_losses == 2
-    # a repeat of the same NACK does not double-count
-    rep.handle_nack(NackPacket(0, 2))
-    assert rep.unrecoverable_losses == 2
 
 
 def test_translator_skips_after_seq_reset():

@@ -1,16 +1,14 @@
 import pytest
 
+from dta.experiments import kw_measure_ages, kw_write_stream, stream_key, stream_value
 from dta.hashing import HashFamily
 from dta.keywrite import (
     BadValueLength,
     KwStore,
     QueryOutcome,
     QueryPolicy,
-    kw_age_sweep,
     kw_query,
     kw_write,
-    stream_key,
-    stream_value,
 )
 from dta.memstore import MemoryRegion, QueuePair, Write, apply_verb
 
@@ -162,14 +160,16 @@ def test_geometry_must_fit_region():
 
 def test_age_sweep_fresh_keys_always_hit():
     store = make_store(buflen=4096)
-    buckets = kw_age_sweep(store, 2, n_keys=300, ages=[0], window=10, seed=3)
+    kw_write_stream(store, 2, n_keys=300, seed=3)
+    buckets = kw_measure_ages(store, 2, n_keys=300, ages=[0], window=10, seed=3)
     assert buckets[0].success_rate == 1.0
 
 
 def test_age_sweep_success_non_increasing():
     store = make_store(buflen=2048)
     n_keys = 6144  # alpha up to 3 across the age range
-    buckets = kw_age_sweep(store, 2, n_keys, ages=[0, 2048, 4096], window=2048, seed=11)
+    kw_write_stream(store, 2, n_keys, seed=11)
+    buckets = kw_measure_ages(store, 2, n_keys, ages=[0, 2048, 4096], window=2048, seed=11)
     rates = [b.success_rate for b in buckets]
     assert rates[0] > rates[1] > rates[2]
 
@@ -177,7 +177,9 @@ def test_age_sweep_success_non_increasing():
 def test_age_sweep_validates_inputs():
     store = make_store()
     with pytest.raises(ValueError):
-        kw_age_sweep(store, 2, n_keys=10, ages=[10])
+        kw_measure_ages(store, 2, n_keys=10, ages=[10])
+    with pytest.raises(ValueError):
+        kw_measure_ages(store, 2, n_keys=10, ages=[0], window=0)
 
 
 def test_stream_helpers_deterministic():

@@ -152,7 +152,7 @@ def test_sketch_run_completes_and_matches_oracle():
     report = s.run()
     assert report.drained and report.exactly_once_ok
     state = s.translator.sketch_state
-    assert all(state.tracker.complete)
+    assert all(state.complete)
     for col in range(topo.sketch.cols):
         expected = [sum(per_reporter[r][col].values[row] for r in range(3))
                     for row in range(topo.sketch.rows)]

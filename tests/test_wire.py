@@ -184,10 +184,8 @@ def test_mtu_budget_enforced():
 
 def test_flag_helpers():
     packet = DtaPacket(AppendBody(0, b"x"), 0, 0, flags=make_flags(essential=True))
-    assert packet.essential and not packet.immediate
-    packet = DtaPacket(AppendBody(0, b"x"), 0, 0,
-                       flags=make_flags(essential=True, immediate=True))
-    assert packet.essential and packet.immediate
+    assert packet.essential
+    assert not DtaPacket(AppendBody(0, b"x"), 0, 0, flags=make_flags()).essential
 
 
 def test_encode_validates_field_ranges():
