@@ -1,0 +1,112 @@
+"""Run the benchmark in two checkouts, alternately, and print a BENCH_*.json record.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload append-bulk \
+        --pairs 10 --seconds 20 --seeds 701 702 703 704 705 706 707 708 709 710
+
+Each pair runs ``bench/run.py --trace 0`` once in each checkout on one seed
+(pair i uses the i-th seed, cycling through ``--seeds``); the side that runs
+first alternates from pair to pair.  For every end-to-end metric that
+CHANGE_DIR's ``BENCHMARK.json`` lists, the record gives each side's runs,
+median and quartiles, the ratio of the medians and the number of pairs the
+change won (ties count for neither side).  The JSON goes to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run of the benchmark in ``checkout``: its last stdout line, parsed."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "runs": [round(v, 4) for v in values]}
+
+
+def compare(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    out = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        wins = sum(c > p if higher else c < p for p, c in zip(values["parent"], values["change"]))
+        parent, change = summary(values["parent"]), summary(values["change"])
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "parent": parent, "change": change,
+            "change_over_parent": (round(change["median"] / parent["median"], 4)
+                                   if parent["median"] else None),
+            "change_wins_pairs": f"{wins}/{len(values['change'])}",
+        }
+    return out
+
+
+def bench_workload(parent: Path, change: Path, workload: str, seeds: list[int], pairs: int,
+                   seconds: float, metrics: list[dict]) -> dict:
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    dirs = {"parent": parent, "change": change}
+    used = []
+    for i in range(pairs):
+        seed = seeds[i % len(seeds)]
+        used.append(seed)
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            runs[side].append(run_once(dirs[side], workload, seed, seconds))
+            print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side} done", file=sys.stderr)
+    every = runs["parent"] + runs["change"]
+    return {
+        "seeds": used,
+        "pairs": pairs,
+        "runs_correct": all(r["correct"] for r in every),
+        "metrics": compare(runs, metrics),
+        "attempted_both_sides": sum(r["attempted"] for r in every),
+        "failed_both_sides": sum(r["failed"] for r in every),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    record = {
+        "what": "parent against change: alternating --trace 0 runs, one pair per seed, "
+                "the side that runs first alternating from pair to pair",
+        "command": "python3 bench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seconds": args.seconds,
+        "python": platform.python_version(),
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of one side",
+        "workloads": {w: bench_workload(args.parent.resolve(), args.change.resolve(), w,
+                                        args.seeds, args.pairs, args.seconds, metrics)
+                      for w in args.workload},
+    }
+    print(json.dumps(record, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,8 @@
 """Reporter and translator state machines for loss recovery and rate metering.
 
 Reporters stamp every essential report with a cumulative counter and keep a
-bounded backlog of unacknowledged essential reports.  The translator compares
+bounded backlog of the octets of unacknowledged essential reports, resent as
+they were first sent.  The translator compares
 incoming counters against the last applied one per reporter: a gap produces a
 NACK carrying the expected sequence, and the reporter goes back and resends
 everything from there.  Retransmission duplicates are suppressed by sequence
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import dropwhile
 from typing import Optional, Union
 
 from .wire import (
@@ -34,6 +36,8 @@ from .wire import (
 )
 
 DEFAULT_BACKLOG_CAPACITY = 256
+_SEQ_MASK = 0xFFFFFFFF  # essential sequences are 32-bit and wrap
+_SEQ_HALF = 1 << 31
 
 # Reserved list id marking a report as a liveness probe: it carries the
 # reporter's current essential count for gap detection but writes nothing.
@@ -82,7 +86,7 @@ class ReporterState:
             raise ValueError(f"backlog_capacity must be >= 1, got {backlog_capacity}")
         self.reporter_id = reporter_id
         self.essential_seq = 0
-        self.backlog: OrderedDict[int, DtaPacket] = OrderedDict()
+        self.backlog: OrderedDict[int, bytes] = OrderedDict()  # seq -> octets as sent
         self.backlog_capacity = backlog_capacity
         self.max_rate = initial_rate
         self.rate = initial_rate
@@ -92,21 +96,18 @@ class ReporterState:
         self._signalled_this_step = False
 
     def send(self, packet: DtaPacket) -> bytes:
-        """Stamp and encode one report, retaining essentials in the backlog."""
-        if packet.essential:
-            self.essential_seq = (self.essential_seq + 1) & 0xFFFFFFFF
-            stamped = DtaPacket(packet.body, self.reporter_id, self.essential_seq,
-                                packet.flags, packet.version,
-                                src_port=packet.src_port, dst_port=packet.dst_port)
+        """Stamp and encode one report, keeping an essential one's octets in the backlog."""
+        essential = packet.essential
+        if essential:
+            self.essential_seq = (self.essential_seq + 1) & _SEQ_MASK
+        octets = encode(DtaPacket(packet.body, self.reporter_id, self.essential_seq,
+                                  packet.flags, packet.version, packet.src_port, packet.dst_port))
+        if essential:
             if len(self.backlog) >= self.backlog_capacity:
                 self.backlog.popitem(last=False)
                 self.evicted_unprotected += 1
-            self.backlog[self.essential_seq] = stamped
-        else:
-            stamped = DtaPacket(packet.body, self.reporter_id, self.essential_seq,
-                                packet.flags, packet.version,
-                                src_port=packet.src_port, dst_port=packet.dst_port)
-        return encode(stamped)
+            self.backlog[self.essential_seq] = octets
+        return octets
 
     def heartbeat(self) -> bytes:
         """Non-essential keepalive carrying the current count, for gap detection."""
@@ -115,19 +116,22 @@ class ReporterState:
     def handle_nack(self, nack: NackPacket) -> list[bytes]:
         """Go-back-N: resend every backlog entry from the NACKed sequence on.
 
-        If the NACKed entry was evicted, the gap up to the oldest surviving
-        entry is unrecoverable; a sequence reset precedes the survivors so
-        the translator stops waiting for the lost reports.
+        The backlog is walked in the order its entries were sent, which stays
+        right when the sequence wraps past 2**32 - 1.  If the NACKed entry was
+        evicted (it precedes the oldest survivor, in serial-number order), the
+        gap up to that survivor is unrecoverable; a sequence reset precedes
+        the survivors so the translator stops waiting for the lost reports.
         """
         expected = nack.expected_essential_seq
         out = []
         if expected not in self.backlog:
-            oldest = min(self.backlog) if self.backlog else self.essential_seq + 1
-            if oldest > expected:
-                out.append(encode(SeqResetPacket(self.reporter_id, oldest)))
-                expected = oldest
-        for seq in sorted(s for s in self.backlog if s >= expected):
-            out.append(encode(self.backlog[seq]))
+            oldest = next(iter(self.backlog), (self.essential_seq + 1) & _SEQ_MASK)
+            if not 0 < (oldest - expected) & _SEQ_MASK < _SEQ_HALF:
+                return out
+            out.append(encode(SeqResetPacket(self.reporter_id, oldest)))
+            expected = oldest
+        for _, octets in dropwhile(lambda entry: entry[0] != expected, self.backlog.items()):
+            out.append(octets)
             self.retransmissions += 1
         return out
 
@@ -153,11 +157,16 @@ class Decision(Enum):
     DROP_LOW_PRIORITY = "drop-low-priority"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReceiveVerdict:
     decision: Decision
     nack: Optional[NackPacket] = None
     congestion: Optional[CongestionSignal] = None
+
+
+# the verdicts that carry no packet are shared, not built per report
+_PROCESS = ReceiveVerdict(Decision.PROCESS)
+_DUPLICATE = ReceiveVerdict(Decision.DUPLICATE)
 
 
 class TranslatorFlowState:
@@ -212,7 +221,7 @@ class TranslatorFlowState:
             expected = self.expected_seq(packet.reporter_id)
             if packet.essential_seq < expected:
                 self.duplicates_suppressed += 1
-                return ReceiveVerdict(Decision.DUPLICATE)
+                return _DUPLICATE
             if packet.essential_seq > expected:
                 return self._nack(packet.reporter_id)
         elif packet.essential_seq > self.last_applied.get(packet.reporter_id, 0):
@@ -233,7 +242,7 @@ class TranslatorFlowState:
 
         if packet.essential:
             self.last_applied[packet.reporter_id] = packet.essential_seq
-        return ReceiveVerdict(Decision.PROCESS)
+        return _PROCESS
 
     def drain_deferred(self) -> list[DtaPacket]:
         """Re-inject deferred reports that now fit under the meter, in order."""

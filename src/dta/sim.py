@@ -294,10 +294,8 @@ class Translator:
         return 1
 
     def translate(self, packet: wire.DtaPacket) -> list:
-        """Primitive dispatch: one decoded report to its verb list."""
+        """Primitive dispatch: one decoded report, never a keepalive, to its verb list."""
         body = packet.body
-        if body == flowctl.KEEPALIVE_BODY:
-            return []
         if isinstance(body, wire.KeyWriteBody):
             return keywrite.kw_write(self.kw_store, body.key, body.value, body.redundancy)
         if isinstance(body, wire.AppendBody):
@@ -418,6 +416,7 @@ class Simulation:
     def run(self, dump_path=None) -> RunReport:
         report = self.report
         flow = self.translator.flow
+        flags = wire.make_flags(essential=self.workload.essential)
         steps = 0
         drain_steps = 0
         while True:
@@ -445,7 +444,6 @@ class Simulation:
                     sent += 1
                 while rep.pending_bodies and sent + 1 <= budget:
                     body = rep.pending_bodies.popleft()
-                    flags = wire.make_flags(essential=self.workload.essential)
                     arrivals.append(rep.state.send(
                         wire.DtaPacket(body, rep.state.reporter_id, 0, flags)
                     ))

@@ -8,6 +8,12 @@ Three control kinds flow translator -> reporter: loss NACKs, congestion
 signals, and the sequence-reset a reporter issues when a NACKed report has
 already been evicted from its backlog.
 
+``LAYOUT`` is the one place the formats live: for each kind, its fixed fields
+after the envelope and version/kind octet, by name and struct code.  encode
+and decode each run one precompiled ``struct.Struct`` per packet built from
+it, and decode walks it, on its failure path only, to name the field that does
+not fit.
+
 Encoding is canonical: decode(encode(p)) == p for every valid packet, and
 decode rejects any octet string encode could not have produced, naming the
 earliest malformed field.
@@ -21,15 +27,12 @@ from enum import Enum, IntEnum
 from typing import Optional, Union
 
 ENVELOPE_LEN = 6
-REPORT_HEADER_LEN = 16  # envelope + version/kind + flags + reporter + seq
 MAX_PAYLOAD = 1400  # single-MTU reports
 DEFAULT_SRC_PORT = 40000
 DEFAULT_DST_PORT = 4040
 
 FLAG_ESSENTIAL = 0x01
 
-_U16 = (1 << 16) - 1
-_U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
 
 
@@ -64,7 +67,7 @@ class Kind(IntEnum):
     NACK = 0xF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyWriteBody:
     redundancy: int
     key: bytes
@@ -73,7 +76,7 @@ class KeyWriteBody:
     kind = Kind.KEY_WRITE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppendBody:
     list_id: int
     entry: bytes
@@ -81,7 +84,7 @@ class AppendBody:
     kind = Kind.APPEND
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyIncrementBody:
     redundancy: int
     key: bytes
@@ -90,7 +93,7 @@ class KeyIncrementBody:
     kind = Kind.KEY_INCREMENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SketchMergeBody:
     col_index: int
     values: tuple  # one 64-bit counter per sketch row
@@ -98,7 +101,7 @@ class SketchMergeBody:
     kind = Kind.SKETCH_MERGE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostcardBody:
     flow_id: int
     hop: int
@@ -115,7 +118,7 @@ def make_flags(essential: bool = False) -> int:
     return FLAG_ESSENTIAL if essential else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DtaPacket:
     """One telemetry report.
 
@@ -137,7 +140,7 @@ class DtaPacket:
         return bool(self.flags & FLAG_ESSENTIAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NackPacket:
     """Loss report: the translator expected this essential sequence next."""
 
@@ -151,7 +154,7 @@ class CongestionAction(Enum):
     REDUCE_RATE = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongestionSignal:
     """Translator request that a reporter reduce its report rate."""
 
@@ -161,7 +164,7 @@ class CongestionSignal:
     dst_port: int = DEFAULT_SRC_PORT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqResetPacket:
     """Reporter notice that essential sequences below ``new_expected`` are gone.
 
@@ -178,206 +181,157 @@ class SeqResetPacket:
 Packet = Union[DtaPacket, NackPacket, CongestionSignal, SeqResetPacket]
 
 
-def _check_u(name: str, value: int, limit: int) -> int:
+# The wire formats, one entry per kind: the fields that follow the 6-octet
+# envelope (src port, dst port, total length) and the version/kind octet, in
+# wire order, as (name, struct code).  Each code's width is the field's range.
+# What follows these fields is variable: Key-Write's key then value (the rest),
+# Append's entry (the rest), Key-Increment's key (exactly key_len octets) and
+# Sketch-Merge's counters (exactly rows u64s).  Every other kind ends with its
+# last field.  encode and decode both run on the structs compiled from here.
+_REPORT_HEADER = (("flags", "B"), ("reporter_id", "I"), ("essential_seq", "I"))
+LAYOUT = {
+    Kind.KEY_WRITE: _REPORT_HEADER + (("redundancy", "B"), ("key_len", "B")),
+    Kind.APPEND: _REPORT_HEADER + (("list_id", "I"),),
+    Kind.KEY_INCREMENT: _REPORT_HEADER + (("redundancy", "B"), ("key_len", "B"), ("delta", "Q")),
+    Kind.SKETCH_MERGE: _REPORT_HEADER + (("col_index", "H"), ("rows", "B")),
+    Kind.POSTCARDING: _REPORT_HEADER + (("flow_id", "Q"), ("hop", "B"), ("path_len", "B"),
+                                        ("value", "I")),
+    Kind.NACK: (("reporter_id", "I"), ("expected_essential_seq", "I")),
+    Kind.SEQ_RESET: (("reporter_id", "I"), ("new_expected", "I")),
+    Kind.CONGESTION: (("reporter_id", "I"), ("action", "B")),
+}
+_ENVELOPE = (("src_port", "H"), ("dst_port", "H"), ("length", "H"), ("version/kind", "B"))
+_STRUCT = {kind: struct.Struct(">" + "".join(code for _, code in _ENVELOPE + fields))
+           for kind, fields in LAYOUT.items()}
+_KIND_OF_NIBBLE = tuple({k.value: k for k in Kind}.get(v) for v in range(16))
+
+
+def _check_u(name: str, value: int, limit: int) -> None:
     if not 0 <= value <= limit:
         raise ValueError(f"{name} must be in [0, {limit}], got {value}")
-    return value
-
-
-def _encode_body(body: Body) -> bytes:
-    if isinstance(body, KeyWriteBody):
-        _check_u("redundancy", body.redundancy, 255)
-        _check_u("key_len", len(body.key), 255)
-        return struct.pack(">BB", body.redundancy, len(body.key)) + body.key + body.value
-    if isinstance(body, AppendBody):
-        return struct.pack(">I", _check_u("list_id", body.list_id, _U32)) + body.entry
-    if isinstance(body, KeyIncrementBody):
-        _check_u("redundancy", body.redundancy, 255)
-        _check_u("key_len", len(body.key), 255)
-        _check_u("delta", body.delta, _U64)
-        return struct.pack(">BBQ", body.redundancy, len(body.key), body.delta) + body.key
-    if isinstance(body, SketchMergeBody):
-        _check_u("col_index", body.col_index, _U16)
-        _check_u("rows", len(body.values), 255)
-        head = struct.pack(">HB", body.col_index, len(body.values))
-        return head + b"".join(
-            _check_u("counter", v, _U64).to_bytes(8, "big") for v in body.values
-        )
-    if isinstance(body, PostcardBody):
-        _check_u("flow_id", body.flow_id, _U64)
-        _check_u("hop", body.hop, 255)
-        path_len = 0 if body.path_len is None else _check_u("path_len", body.path_len, 255)
-        if body.path_len == 0:
-            raise ValueError("path_len 0 is reserved for 'not provided'; use None")
-        _check_u("value", body.value, _U32)
-        return struct.pack(">QBBI", body.flow_id, body.hop, path_len, body.value)
-    raise TypeError(f"unknown body {body!r}")
-
-
-def _envelope(src_port: int, dst_port: int, total: int) -> bytes:
-    _check_u("src_port", src_port, _U16)
-    _check_u("dst_port", dst_port, _U16)
-    _check_u("length", total, _U16)
-    return struct.pack(">HHH", src_port, dst_port, total)
 
 
 def encode(packet: Packet) -> bytes:
-    """Canonical octets of a report or control packet."""
+    """Canonical octets of a report or control packet; ValueError names a field out of range."""
+    tail = b""
     if isinstance(packet, DtaPacket):
-        _check_u("version", packet.version, 15)
-        _check_u("flags", packet.flags, 255)
-        _check_u("reporter_id", packet.reporter_id, _U32)
-        _check_u("essential_seq", packet.essential_seq, _U32)
-        body = _encode_body(packet.body)
-        payload_len = len(body) - _SUBHEADER_LEN[packet.body.kind]
-        if payload_len > MAX_PAYLOAD:
-            raise ValueError(f"payload of {payload_len}B exceeds {MAX_PAYLOAD}B MTU budget")
-        rest = (
-            bytes([(packet.version << 4) | packet.body.kind, packet.flags])
-            + struct.pack(">II", packet.reporter_id, packet.essential_seq)
-            + body
-        )
+        body = packet.body
+        if isinstance(body, AppendBody):
+            sub, tail = (body.list_id,), body.entry
+        elif isinstance(body, KeyIncrementBody):
+            sub, tail = (body.redundancy, len(body.key), body.delta), body.key
+        elif isinstance(body, KeyWriteBody):
+            sub, tail = (body.redundancy, len(body.key)), body.key + body.value
+        elif isinstance(body, SketchMergeBody):
+            sub = (body.col_index, len(body.values))
+            try:
+                tail = struct.pack(f">{len(body.values)}Q", *body.values)
+            except struct.error:
+                for v in body.values:
+                    _check_u("counter", v, _U64)
+                raise
+        elif isinstance(body, PostcardBody):
+            if body.path_len == 0:
+                raise ValueError("path_len 0 is reserved for 'not provided'; use None")
+            sub = (body.flow_id, body.hop, body.path_len or 0, body.value)
+        else:
+            raise TypeError(f"unknown body {body!r}")
+        if len(tail) > MAX_PAYLOAD:
+            raise ValueError(f"payload of {len(tail)}B exceeds {MAX_PAYLOAD}B MTU budget")
+        kind = body.kind
+        fields = (packet.flags, packet.reporter_id, packet.essential_seq) + sub
+        version = packet.version
     elif isinstance(packet, NackPacket):
-        rest = bytes([(1 << 4) | Kind.NACK]) + struct.pack(
-            ">II",
-            _check_u("reporter_id", packet.reporter_id, _U32),
-            _check_u("expected_essential_seq", packet.expected_essential_seq, _U32),
-        )
+        kind, version = Kind.NACK, 1
+        fields = (packet.reporter_id, packet.expected_essential_seq)
     elif isinstance(packet, CongestionSignal):
-        rest = bytes([(1 << 4) | Kind.CONGESTION]) + struct.pack(
-            ">IB", _check_u("reporter_id", packet.reporter_id, _U32), packet.action.value
-        )
+        kind, version = Kind.CONGESTION, 1
+        fields = (packet.reporter_id, packet.action.value)
     elif isinstance(packet, SeqResetPacket):
-        rest = bytes([(1 << 4) | Kind.SEQ_RESET]) + struct.pack(
-            ">II",
-            _check_u("reporter_id", packet.reporter_id, _U32),
-            _check_u("new_expected", packet.new_expected, _U32),
-        )
+        kind, version = Kind.SEQ_RESET, 1
+        fields = (packet.reporter_id, packet.new_expected)
     else:
         raise TypeError(f"cannot encode {packet!r}")
-    return _envelope(packet.src_port, packet.dst_port, ENVELOPE_LEN + len(rest)) + rest
+    layout = _STRUCT[kind]
+    head = (packet.src_port, packet.dst_port, layout.size + len(tail), (version << 4) | kind)
+    try:
+        return layout.pack(*head, *fields) + tail
+    except struct.error:
+        _check_u("version", version, 15)
+        for (name, code), value in zip(_ENVELOPE + LAYOUT[kind], head + fields):
+            _check_u(name, value, (1 << 8 * struct.calcsize(code)) - 1)
+        raise
 
 
-_SUBHEADER_LEN = {
-    Kind.KEY_WRITE: 2,
-    Kind.APPEND: 4,
-    Kind.KEY_INCREMENT: 10,
-    Kind.SKETCH_MERGE: 3,
-    Kind.POSTCARDING: 14,
-}
-
-
-class _Reader:
-    def __init__(self, buf: bytes, offset: int):
-        self.buf = buf
-        self.off = offset
-
-    @property
-    def remaining(self) -> int:
-        return len(self.buf) - self.off
-
-    def take(self, n: int, field: str) -> bytes:
-        if self.remaining < n:
-            raise TruncatedPacket(field, f"needs {n} octets, {self.remaining} left")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self, field: str) -> int:
-        return self.take(1, field)[0]
-
-    def u16(self, field: str) -> int:
-        return struct.unpack(">H", self.take(2, field))[0]
-
-    def u32(self, field: str) -> int:
-        return struct.unpack(">I", self.take(4, field))[0]
-
-    def u64(self, field: str) -> int:
-        return struct.unpack(">Q", self.take(8, field))[0]
-
-
-def _decode_body(kind: Kind, r: _Reader) -> Body:
-    if kind is Kind.KEY_WRITE:
-        redundancy = r.u8("redundancy")
-        key_len = r.u8("key_len")
-        if r.remaining < key_len:
-            raise LengthMismatch("key_len", f"declares {key_len} octets, {r.remaining} left")
-        key = r.take(key_len, "key")
-        return KeyWriteBody(redundancy, key, r.take(r.remaining, "value"))
-    if kind is Kind.APPEND:
-        list_id = r.u32("list_id")
-        return AppendBody(list_id, r.take(r.remaining, "entry"))
-    if kind is Kind.KEY_INCREMENT:
-        redundancy = r.u8("redundancy")
-        key_len = r.u8("key_len")
-        delta = r.u64("delta")
-        if r.remaining != key_len:
-            raise LengthMismatch("key_len", f"declares {key_len} octets, {r.remaining} left")
-        return KeyIncrementBody(redundancy, r.take(key_len, "key"), delta)
-    if kind is Kind.SKETCH_MERGE:
-        col_index = r.u16("col_index")
-        rows = r.u8("rows")
-        if r.remaining != 8 * rows:
-            raise LengthMismatch("rows", f"declares {8 * rows} octets, {r.remaining} left")
-        return SketchMergeBody(col_index, tuple(r.u64("counter") for _ in range(rows)))
-    flow_id = r.u64("flow_id")
-    hop = r.u8("hop")
-    path_len = r.u8("path_len")
-    if r.remaining != 4:
-        raise LengthMismatch("value", f"needs exactly 4 octets, {r.remaining} left")
-    value = r.u32("value")
-    return PostcardBody(flow_id, hop, value, None if path_len == 0 else path_len)
+def _too_short(kind: Kind, n: int) -> WireError:
+    """Decode's error for ``n`` octets, too few for ``kind``: the first field that does not fit."""
+    offset = ENVELOPE_LEN + 1
+    for name, code in LAYOUT[kind]:
+        size = struct.calcsize(code)
+        if n - offset < size:
+            if kind is Kind.POSTCARDING and name == "value":
+                # the value is checked as the length of the rest, like a payload
+                return LengthMismatch("value", f"needs exactly 4 octets, {n - offset} left")
+            return TruncatedPacket(name, f"needs {size} octets, {n - offset} left")
+        offset += size
 
 
 def decode(buf: bytes) -> Packet:
-    """Parse canonical octets back into a packet; never raises anything but WireError."""
-    if len(buf) < ENVELOPE_LEN:
-        raise TruncatedPacket("envelope", f"needs {ENVELOPE_LEN} octets, got {len(buf)}")
-    src_port, dst_port, length = struct.unpack(">HHH", buf[:ENVELOPE_LEN])
-    if length > len(buf):
-        raise TruncatedPacket("length", f"declares {length} octets, got {len(buf)}")
-    if length < len(buf):
-        raise LengthMismatch("length", f"declares {length} octets, got {len(buf)}")
-    if length < ENVELOPE_LEN + 1:
+    """Parse canonical octets back into a packet; never raises anything but WireError.
+
+    Checks run in wire order, so the error names the earliest malformed field.
+    """
+    n = len(buf)
+    if n < ENVELOPE_LEN:
+        raise TruncatedPacket("envelope", f"needs {ENVELOPE_LEN} octets, got {n}")
+    length = buf[4] << 8 | buf[5]
+    if length != n:
+        if length > n:
+            raise TruncatedPacket("length", f"declares {length} octets, got {n}")
+        raise LengthMismatch("length", f"declares {length} octets, got {n}")
+    if n == ENVELOPE_LEN:
         raise TruncatedPacket("version", "no room for version/kind octet")
     vk = buf[ENVELOPE_LEN]
-    version, kind_value = vk >> 4, vk & 0x0F
-    try:
-        kind = Kind(kind_value)
-    except ValueError:
-        raise UnknownPrimitive("primitive", f"unknown kind {kind_value}") from None
-    if kind in (Kind.NACK, Kind.SEQ_RESET, Kind.CONGESTION) and version != 1:
-        # control packets do not carry a version field; the nibble is fixed
-        raise UnknownPrimitive("version", f"control packets use version 1, got {version}")
-    r = _Reader(buf, ENVELOPE_LEN + 1)
+    kind = _KIND_OF_NIBBLE[vk & 0x0F]
+    if kind is None:
+        raise UnknownPrimitive("primitive", f"unknown kind {vk & 0x0F}")
+    if kind >= Kind.SEQ_RESET and vk >> 4 != 1:
+        raise UnknownPrimitive("version", f"control packets use version 1, got {vk >> 4}")
+    layout = _STRUCT[kind]
+    size = layout.size
+    if n < size:
+        raise _too_short(kind, n)
+    f = layout.unpack_from(buf)
 
-    if kind is Kind.NACK:
-        return NackPacket(r.u32("reporter_id"), _exact_end(r, "expected_essential_seq"),
-                          src_port=src_port, dst_port=dst_port)
-    if kind is Kind.SEQ_RESET:
-        return SeqResetPacket(r.u32("reporter_id"), _exact_end(r, "new_expected"),
-                              src_port=src_port, dst_port=dst_port)
-    if kind is Kind.CONGESTION:
-        reporter = r.u32("reporter_id")
-        action = r.u8("action")
-        if r.remaining:
-            raise LengthMismatch("action", f"{r.remaining} trailing octets")
-        try:
-            return CongestionSignal(reporter, CongestionAction(action),
-                                    src_port=src_port, dst_port=dst_port)
-        except ValueError:
-            raise UnknownPrimitive("action", f"unknown action {action}") from None
-
-    flags = r.u8("flags")
-    reporter_id = r.u32("reporter_id")
-    essential_seq = r.u32("essential_seq")
-    body = _decode_body(kind, r)
-    return DtaPacket(body, reporter_id, essential_seq, flags, version,
-                     src_port=src_port, dst_port=dst_port)
-
-
-def _exact_end(r: _Reader, field: str) -> int:
-    value = r.u32(field)
-    if r.remaining:
-        raise LengthMismatch(field, f"{r.remaining} trailing octets")
-    return value
+    if kind is Kind.APPEND:
+        body = AppendBody(f[7], buf[size:])
+    elif kind is Kind.KEY_INCREMENT:
+        if n - size != f[8]:
+            raise LengthMismatch("key_len", f"declares {f[8]} octets, {n - size} left")
+        body = KeyIncrementBody(f[7], buf[size:], f[9])
+    elif kind is Kind.KEY_WRITE:
+        key_end = size + f[8]
+        if key_end > n:
+            raise LengthMismatch("key_len", f"declares {f[8]} octets, {n - size} left")
+        body = KeyWriteBody(f[7], buf[size:key_end], buf[key_end:])
+    elif kind is Kind.SKETCH_MERGE:
+        rows = f[8]
+        if n - size != 8 * rows:
+            raise LengthMismatch("rows", f"declares {8 * rows} octets, {n - size} left")
+        body = SketchMergeBody(f[7], struct.unpack_from(f">{rows}Q", buf, size))
+    else:
+        if n != size:
+            field = LAYOUT[kind][-1][0]
+            raise LengthMismatch(field, f"{n - size} trailing octets")
+        if kind is Kind.NACK:
+            return NackPacket(f[4], f[5], f[0], f[1])
+        if kind is Kind.SEQ_RESET:
+            return SeqResetPacket(f[4], f[5], f[0], f[1])
+        if kind is Kind.CONGESTION:
+            try:
+                action = CongestionAction(f[5])
+            except ValueError:
+                raise UnknownPrimitive("action", f"unknown action {f[5]}") from None
+            return CongestionSignal(f[4], action, f[0], f[1])
+        body = PostcardBody(f[7], f[8], f[10], f[9] or None)
+    return DtaPacket(body, f[5], f[6], f[4], vk >> 4, f[0], f[1])

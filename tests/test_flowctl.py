@@ -214,3 +214,26 @@ def test_token_bucket_validation():
         TokenBucket(rate=-1, burst=1)
     with pytest.raises(ValueError):
         TokenBucket(rate=1, burst=0)
+
+
+def reporter_with_backlog(seqs, capacity=DEFAULT_BACKLOG_CAPACITY):
+    """A reporter whose backlog holds essential reports stamped ``seqs``, in that order."""
+    rep = ReporterState(0, backlog_capacity=capacity)
+    rep.essential_seq = (seqs[0] - 1) & 0xFFFFFFFF
+    for _ in seqs:
+        rep.send(essential_packet())
+    assert list(rep.backlog) == seqs[-capacity:]
+    return rep
+
+
+def test_go_back_n_across_the_sequence_wrap():
+    rep = reporter_with_backlog([2**32 - 1, 0, 1, 2])
+    resends = [decode(o) for o in rep.handle_nack(NackPacket(0, 0))]
+    assert [p.essential_seq for p in resends] == [0, 1, 2]
+
+
+def test_nack_for_evicted_seq_before_the_wrap_resets_to_oldest_survivor():
+    rep = reporter_with_backlog([2**32 - 3, 2**32 - 2, 2**32 - 1, 0, 1], capacity=2)
+    out = [decode(o) for o in rep.handle_nack(NackPacket(0, 2**32 - 2))]
+    assert out[0] == SeqResetPacket(0, 0)
+    assert [p.essential_seq for p in out[1:]] == [0, 1]

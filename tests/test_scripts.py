@@ -1,5 +1,6 @@
 """Smoke tests of scripts/: every name they import exists, and a cheap suite runs."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -24,3 +25,19 @@ def test_run_all_suites_writes_bounds_csv(tmp_path, monkeypatch, capsys):
         meta, rows = read_csv(fh)
     assert meta["suite"] == "bounds"
     assert rows
+
+
+def test_bench_pairs_writes_a_record(capsys):
+    repo = SCRIPTS.parent
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    assert main([str(repo), str(repo), "--workload", "mc-query", "--pairs", "1",
+                 "--seconds", "0", "--seeds", "3"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    result = record["workloads"]["mc-query"]
+    assert result["seeds"] == [3] and result["pairs"] == 1
+    assert result["runs_correct"] and result["failed_both_sides"] == 0
+    for metric in ("reports_per_s", "kw_trials_per_s", "pc_trials_per_s", "setup_s",
+                   "peak_rss_mb"):
+        entry = result["metrics"][metric]
+        assert len(entry["parent"]["runs"]) == len(entry["change"]["runs"]) == 1
+        assert entry["change_wins_pairs"] in ("0/1", "1/1")

@@ -1,5 +1,6 @@
 import json
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dta.wire import (
+    ENVELOPE_LEN,
     AppendBody,
+    CongestionAction,
     CongestionSignal,
     DtaPacket,
     KeyIncrementBody,
     KeyWriteBody,
+    Kind,
     LengthMismatch,
     NackPacket,
     PostcardBody,
@@ -209,3 +213,172 @@ def test_injective_on_random_sample():
             assert encodings[blob] == packet
         encodings[blob] = packet
     assert len(encodings) == len({encode(p) for p in packets})
+
+
+# The field-by-field decoder the struct-based one replaced, kept as the
+# reference: on any input both must return equal packets or raise the same
+# WireError subclass naming the same field.
+class _Reader:
+    def __init__(self, buf: bytes, offset: int):
+        self.buf = buf
+        self.off = offset
+
+    @property
+    def remaining(self) -> int:
+        return len(self.buf) - self.off
+
+    def take(self, n: int, field: str) -> bytes:
+        if self.remaining < n:
+            raise TruncatedPacket(field, f"needs {n} octets, {self.remaining} left")
+        out = self.buf[self.off:self.off + n]
+        self.off += n
+        return out
+
+    def u8(self, field: str) -> int:
+        return self.take(1, field)[0]
+
+    def u16(self, field: str) -> int:
+        return struct.unpack(">H", self.take(2, field))[0]
+
+    def u32(self, field: str) -> int:
+        return struct.unpack(">I", self.take(4, field))[0]
+
+    def u64(self, field: str) -> int:
+        return struct.unpack(">Q", self.take(8, field))[0]
+
+
+def _reference_decode_body(kind, r):
+    if kind is Kind.KEY_WRITE:
+        redundancy = r.u8("redundancy")
+        key_len = r.u8("key_len")
+        if r.remaining < key_len:
+            raise LengthMismatch("key_len", f"declares {key_len} octets, {r.remaining} left")
+        key = r.take(key_len, "key")
+        return KeyWriteBody(redundancy, key, r.take(r.remaining, "value"))
+    if kind is Kind.APPEND:
+        list_id = r.u32("list_id")
+        return AppendBody(list_id, r.take(r.remaining, "entry"))
+    if kind is Kind.KEY_INCREMENT:
+        redundancy = r.u8("redundancy")
+        key_len = r.u8("key_len")
+        delta = r.u64("delta")
+        if r.remaining != key_len:
+            raise LengthMismatch("key_len", f"declares {key_len} octets, {r.remaining} left")
+        return KeyIncrementBody(redundancy, r.take(key_len, "key"), delta)
+    if kind is Kind.SKETCH_MERGE:
+        col_index = r.u16("col_index")
+        rows = r.u8("rows")
+        if r.remaining != 8 * rows:
+            raise LengthMismatch("rows", f"declares {8 * rows} octets, {r.remaining} left")
+        return SketchMergeBody(col_index, tuple(r.u64("counter") for _ in range(rows)))
+    flow_id = r.u64("flow_id")
+    hop = r.u8("hop")
+    path_len = r.u8("path_len")
+    if r.remaining != 4:
+        raise LengthMismatch("value", f"needs exactly 4 octets, {r.remaining} left")
+    value = r.u32("value")
+    return PostcardBody(flow_id, hop, value, None if path_len == 0 else path_len)
+
+
+def _reference_exact_end(r, field):
+    value = r.u32(field)
+    if r.remaining:
+        raise LengthMismatch(field, f"{r.remaining} trailing octets")
+    return value
+
+
+def reference_decode(buf):
+    if len(buf) < ENVELOPE_LEN:
+        raise TruncatedPacket("envelope", f"needs {ENVELOPE_LEN} octets, got {len(buf)}")
+    src_port, dst_port, length = struct.unpack(">HHH", buf[:ENVELOPE_LEN])
+    if length > len(buf):
+        raise TruncatedPacket("length", f"declares {length} octets, got {len(buf)}")
+    if length < len(buf):
+        raise LengthMismatch("length", f"declares {length} octets, got {len(buf)}")
+    if length < ENVELOPE_LEN + 1:
+        raise TruncatedPacket("version", "no room for version/kind octet")
+    vk = buf[ENVELOPE_LEN]
+    version, kind_value = vk >> 4, vk & 0x0F
+    try:
+        kind = Kind(kind_value)
+    except ValueError:
+        raise UnknownPrimitive("primitive", f"unknown kind {kind_value}") from None
+    if kind in (Kind.NACK, Kind.SEQ_RESET, Kind.CONGESTION) and version != 1:
+        raise UnknownPrimitive("version", f"control packets use version 1, got {version}")
+    r = _Reader(buf, ENVELOPE_LEN + 1)
+
+    if kind is Kind.NACK:
+        return NackPacket(r.u32("reporter_id"), _reference_exact_end(r, "expected_essential_seq"),
+                          src_port=src_port, dst_port=dst_port)
+    if kind is Kind.SEQ_RESET:
+        return SeqResetPacket(r.u32("reporter_id"), _reference_exact_end(r, "new_expected"),
+                              src_port=src_port, dst_port=dst_port)
+    if kind is Kind.CONGESTION:
+        reporter = r.u32("reporter_id")
+        action = r.u8("action")
+        if r.remaining:
+            raise LengthMismatch("action", f"{r.remaining} trailing octets")
+        try:
+            return CongestionSignal(reporter, CongestionAction(action),
+                                    src_port=src_port, dst_port=dst_port)
+        except ValueError:
+            raise UnknownPrimitive("action", f"unknown action {action}") from None
+
+    flags = r.u8("flags")
+    reporter_id = r.u32("reporter_id")
+    essential_seq = r.u32("essential_seq")
+    body = _reference_decode_body(kind, r)
+    return DtaPacket(body, reporter_id, essential_seq, flags, version,
+                     src_port=src_port, dst_port=dst_port)
+
+
+def outcome(decoder, blob):
+    try:
+        return decoder(blob)
+    except WireError as err:
+        return type(err), err.field
+
+
+def with_length(octets: bytearray) -> bytes:
+    """Rewrite the envelope's length field to the actual length, where it fits."""
+    if len(octets) >= ENVELOPE_LEN:
+        octets[4:6] = len(octets).to_bytes(2, "big")
+    return bytes(octets)
+
+
+U8, U16, U32, U64 = (st.integers(0, (1 << bits) - 1) for bits in (8, 16, 32, 64))
+SHORT = st.binary(max_size=6)  # short payloads put every length check near its edge
+BODIES = st.one_of(
+    st.builds(KeyWriteBody, U8, SHORT, SHORT),
+    st.builds(AppendBody, U32, SHORT),
+    st.builds(KeyIncrementBody, U8, SHORT, U64),
+    st.builds(SketchMergeBody, U16, st.lists(U64, max_size=3).map(tuple)),
+    st.builds(PostcardBody, U64, U8, U32, st.none() | st.integers(1, 255)),
+)
+PACKETS = st.one_of(
+    st.builds(DtaPacket, BODIES, U32, U32, U8, st.integers(0, 15), U16, U16),
+    st.builds(NackPacket, U32, U32, U16, U16),
+    st.builds(CongestionSignal, U32),
+    st.builds(SeqResetPacket, U32, U32, U16, U16),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_decode_matches_reference_on_arbitrary_bytes(blob):
+    assert outcome(decode, blob) == outcome(reference_decode, blob)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(PACKETS, st.data())
+def test_decode_matches_reference_on_mutated_encodings(packet, data):
+    """Every truncation of a valid encoding (length fixed up), bit flips, appended octets."""
+    octets = encode(packet)
+    blobs = [with_length(bytearray(octets[:cut])) for cut in range(len(octets))]
+    flipped = bytearray(octets)
+    for _ in range(data.draw(st.integers(1, 3))):
+        flipped[data.draw(st.integers(0, len(octets) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    extra = octets + data.draw(st.binary(min_size=1, max_size=20))
+    blobs += [bytes(flipped), extra, with_length(bytearray(extra))]
+    for blob in blobs:
+        assert outcome(decode, blob) == outcome(reference_decode, blob)
