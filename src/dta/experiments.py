@@ -3,7 +3,8 @@
 Each suite produces CSV rows (plus a metadata header) for one figure-style
 experiment: key-value redundancy/longevity sweeps, postcard cache pressure
 and accuracy, append batching verification, keyed-counter accuracy, and
-loss-recovery runs.  Rows carry the matching closed-form bound wherever one
+loss-recovery runs.  A suite's CSV columns are its row keys, in the order the
+suite builds them.  Rows carry the matching closed-form bound wherever one
 is defined so a plot or test can compare measurement against model directly.
 
 The Key-Write and Postcarding Monte-Carlo runs share one engine, ``exact_age``,
@@ -54,8 +55,12 @@ class SuiteResult:
     name: str
     params: dict
     seed: int
-    fieldnames: tuple
     rows: list
+
+    @property
+    def fieldnames(self) -> tuple:
+        """The CSV columns: the keys of the first row, in order."""
+        return tuple(self.rows[0])
 
     @property
     def config_hash(self) -> str:
@@ -78,22 +83,21 @@ def write_csv(fh: TextIO, result: SuiteResult) -> None:
 def read_csv(fh: TextIO) -> tuple[dict, list[dict]]:
     """Parse a suite CSV back: (# metadata, data rows)."""
     meta = {}
-    rows = []
-    fieldnames = None
+    body = []
     for line in fh:
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             meta[key.strip()] = value.strip()
-            continue
-        if fieldnames is None:
-            fieldnames = next(csv.reader([line]))
-            continue
-        parsed = next(csv.DictReader([line], fieldnames=fieldnames))
-        if None in parsed or any(v is None for v in parsed.values()):
-            raise ValueError(f"row does not match header {fieldnames}: {line!r}")
-        rows.append(parsed)
-    if fieldnames is None:
+        else:
+            body.append(line)
+    reader = csv.DictReader(body)
+    if not reader.fieldnames:
         raise ValueError("no header row found")
+    rows = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise ValueError(f"row does not match header {reader.fieldnames}: {row}")
+        rows.append(row)
     return meta, rows
 
 
@@ -267,6 +271,17 @@ def kw_measure_ages(
             for age in ages]
 
 
+def _rates(stats: McStats) -> dict:
+    """The four outcome rates of a Key-Write measurement, plus its trial count."""
+    return {
+        "success_rate": round(stats.success_rate, 6),
+        "empty_rate": round(stats.empty_rate, 6),
+        "wrong_rate": round(stats.wrong_rate, 6),
+        "ambiguous_rate": round(stats.ambiguous_rate, 6),
+        "trials": stats.trials,
+    }
+
+
 def _kw_bounds(redundancy: int, checksum_bits: int, alpha: float) -> dict:
     model = analysis.KwModel(redundancy, checksum_bits, alpha)
     no_out = analysis.kw_no_output_bound(model)
@@ -289,24 +304,11 @@ def _suite_kw_redundancy(params: dict, seed: int) -> list[dict]:
                     params["buflen"], b, params["value_len"], n, alpha,
                     params["queries"], seed + n, policy=policy,
                 )
-                row = {
-                    "load_factor": alpha, "N": n, "b": b, "policy": policy.value,
-                    "success_rate": round(stats.success_rate, 6),
-                    "empty_rate": round(stats.empty_rate, 6),
-                    "wrong_rate": round(stats.wrong_rate, 6),
-                    "ambiguous_rate": round(stats.ambiguous_rate, 6),
-                    "trials": stats.trials,
-                }
+                row = {"load_factor": alpha, "N": n, "b": b, "policy": policy.value,
+                       **_rates(stats)}
                 row.update({k: f"{v:.6g}" for k, v in _kw_bounds(n, b, alpha).items()})
                 rows.append(row)
     return rows
-
-
-KW_REDUNDANCY_FIELDS = (
-    "load_factor", "N", "b", "policy", "success_rate", "empty_rate", "wrong_rate",
-    "ambiguous_rate", "trials", "bound_no_output_lo", "bound_no_output_hi",
-    "bound_wrong_lo", "bound_wrong_hi",
-)
 
 
 def _suite_kw_longevity(params: dict, seed: int) -> list[dict]:
@@ -316,19 +318,8 @@ def _suite_kw_longevity(params: dict, seed: int) -> list[dict]:
                               window=params["window"], seed=seed)
     return [{
         "age": age, "window": bucket.trials,
-        "N": params["redundancy"], "b": params["checksum_bits"],
-        "success_rate": round(bucket.success_rate, 6),
-        "empty_rate": round(bucket.empty_rate, 6),
-        "wrong_rate": round(bucket.wrong_rate, 6),
-        "ambiguous_rate": round(bucket.ambiguous_rate, 6),
-        "trials": bucket.trials,
+        "N": params["redundancy"], "b": params["checksum_bits"], **_rates(bucket),
     } for age, bucket in zip(params["ages"], buckets)]
-
-
-KW_LONGEVITY_FIELDS = (
-    "age", "window", "N", "b", "success_rate", "empty_rate", "wrong_rate",
-    "ambiguous_rate", "trials",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +395,6 @@ def _suite_postcarding_accuracy(params: dict, seed: int) -> list[dict]:
     return rows
 
 
-PC_ACCURACY_FIELDS = (
-    "alpha", "N", "b", "B", "V_bits", "fail_rate", "wrong_rate",
-    "bound_fail", "bound_wrong", "trials",
-)
-
-
 def pc_cache_pressure(cache_slots: int, concurrent_flows: int, hops: int,
                       rounds: int, seed: int) -> tuple[float, float]:
     """Interleave ``concurrent_flows`` paths through the cache, round-robin.
@@ -442,11 +427,6 @@ def _suite_postcarding_cache(params: dict, seed: int) -> list[dict]:
                 "early_emission_rate": round(early, 6),
             })
     return rows
-
-
-PC_CACHE_FIELDS = (
-    "cache_slots", "concurrent_flows", "complete_emission_rate", "early_emission_rate",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +477,6 @@ def _suite_append_bench(params: dict, seed: int) -> list[dict]:
             "verify_ok": ok,
         })
     return rows
-
-
-APPEND_BENCH_FIELDS = (
-    "case", "batch_size", "entry_len", "lists", "capacity", "entries_ingested", "verify_ok",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +537,6 @@ def _suite_ki_accuracy(params: dict, seed: int) -> list[dict]:
     return rows
 
 
-KI_ACCURACY_FIELDS = (
-    "buflen", "N", "stream_len", "distinct_keys", "mean_overestimate",
-    "max_overestimate", "violation_count", "cm_threshold", "cm_exceed_fraction",
-    "cm_exceed_limit",
-)
-
-
 # ---------------------------------------------------------------------------
 # Flow control
 
@@ -599,12 +567,6 @@ def _suite_flowctl_loss(params: dict, seed: int) -> list[dict]:
             "exactly_once_ok": report.exactly_once_ok,
         })
     return rows
-
-
-FLOWCTL_LOSS_FIELDS = (
-    "loss_rate", "reports", "retransmissions", "unrecoverable",
-    "duplicates_suppressed", "nacks", "qp_desyncs", "exactly_once_ok",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -640,23 +602,17 @@ def _suite_bounds(params: dict, seed: int) -> list[dict]:
     return rows
 
 
-BOUNDS_FIELDS = (
-    "model", "N", "b", "alpha", "B", "V_bits", "no_output", "no_output_lo",
-    "no_output_hi", "wrong_output",
-)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 
-_SUITES: dict[str, tuple[dict, tuple, Callable[[dict, int], list[dict]]]] = {
+_SUITES: dict[str, tuple[dict, Callable[[dict, int], list[dict]]]] = {
     "kw-redundancy": (
         {
             "buflen": 65536, "checksum_bits": [32], "value_len": 4,
             "redundancies": [1, 2, 3, 4], "alphas": [0.1, 0.3, 1.0, 3.0],
             "queries": 20000, "policy": "plurality",
         },
-        KW_REDUNDANCY_FIELDS, _suite_kw_redundancy,
+        _suite_kw_redundancy,
     ),
     "kw-longevity": (
         {
@@ -667,42 +623,42 @@ _SUITES: dict[str, tuple[dict, tuple, Callable[[dict, int], list[dict]]]] = {
             "ages": [0, 4883, 19531, 78125, 195312, 390624],
             "window": 4883,
         },
-        KW_LONGEVITY_FIELDS, _suite_kw_longevity,
+        _suite_kw_longevity,
     ),
     "postcarding-cache": (
         {
             "cache_slots": [64, 256, 1024], "concurrent_flows": [16, 64, 256, 1024],
             "hops": 5, "rounds": 8,
         },
-        PC_CACHE_FIELDS, _suite_postcarding_cache,
+        _suite_postcarding_cache,
     ),
     "postcarding-accuracy": (
         {
             "chunks": 16384, "hops": 5, "cell_bits": 32, "value_bits": 18,
             "redundancy": 2, "alphas": [0.1, 0.5, 1.0], "queries": 20000,
         },
-        PC_ACCURACY_FIELDS, _suite_postcarding_accuracy,
+        _suite_postcarding_accuracy,
     ),
     "append-bench": (
         {
             "cases": 200, "batch_sizes": [1, 2, 4, 16], "entry_lens": [4, 8, 13, 18],
             "max_lists": 3,
         },
-        APPEND_BENCH_FIELDS, _suite_append_bench,
+        _suite_append_bench,
     ),
     "ki-accuracy": (
         {
             "buflen": 4096, "redundancies": [1, 2, 4], "stream_len": 100000,
             "key_space": 1 << 14, "max_delta": 16,
         },
-        KI_ACCURACY_FIELDS, _suite_ki_accuracy,
+        _suite_ki_accuracy,
     ),
     "flowctl-loss": (
         {
             "loss_rates": [0.001, 0.01, 0.05], "reporters": 4, "reports": 10000,
             "backlog_capacity": 256, "reports_per_step": 64,
         },
-        FLOWCTL_LOSS_FIELDS, _suite_flowctl_loss,
+        _suite_flowctl_loss,
     ),
     "bounds": (
         {
@@ -710,7 +666,7 @@ _SUITES: dict[str, tuple[dict, tuple, Callable[[dict, int], list[dict]]]] = {
             "checksum_bits": [16, 32], "pc_cell_bits": 32, "pc_hops": 5,
             "pc_value_bits": 18,
         },
-        BOUNDS_FIELDS, _suite_bounds,
+        _suite_bounds,
     ),
 }
 
@@ -726,13 +682,16 @@ def default_params(name: str) -> dict:
 
 
 def experiment_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteResult:
-    """Run one named suite over its parameter grid."""
+    """Run one named suite over its parameter grid; an empty grid is an error."""
     if name not in _SUITES:
         raise UnknownSuite(name)
-    defaults, fieldnames, fn = _SUITES[name]
+    defaults, fn = _SUITES[name]
     merged = default_params(name)
     for key, value in (params or {}).items():
         if key not in defaults:
             raise KeyError(f"unknown parameter {key!r} for suite {name!r}")
         merged[key] = value
-    return SuiteResult(name, merged, seed, fieldnames, fn(merged, seed))
+    rows = fn(merged, seed)
+    if not rows:
+        raise ValueError(f"suite {name!r} produced no rows: its parameter grid is empty")
+    return SuiteResult(name, merged, seed, rows)

@@ -39,6 +39,11 @@ DEFAULT_BACKLOG_CAPACITY = 256
 _SEQ_MASK = 0xFFFFFFFF  # essential sequences are 32-bit and wrap
 _SEQ_HALF = 1 << 31
 
+# Rate response to congestion signals: halve, then recover additively.
+AIMD_INCREASE_PER_STEP = 1.0
+AIMD_DECREASE_FACTOR = 0.5
+AIMD_MIN_RATE = 1.0
+
 # Reserved list id marking a report as a liveness probe: it carries the
 # reporter's current essential count for gap detection but writes nothing.
 KEEPALIVE_BODY = AppendBody(list_id=0xFFFFFFFF, entry=b"")
@@ -68,20 +73,11 @@ class TokenBucket:
         return False
 
 
-@dataclass
-class AimdConfig:
-    """Rate response to congestion signals: halve, then recover additively."""
-
-    increase_per_step: float = 1.0
-    decrease_factor: float = 0.5
-    min_rate: float = 1.0
-
-
 class ReporterState:
     """Per-reporter sending state: sequence stamping, backlog, offered rate."""
 
     def __init__(self, reporter_id: int, backlog_capacity: int = DEFAULT_BACKLOG_CAPACITY,
-                 initial_rate: float = float("inf"), aimd: Optional[AimdConfig] = None):
+                 initial_rate: float = float("inf")):
         if backlog_capacity < 1:
             raise ValueError(f"backlog_capacity must be >= 1, got {backlog_capacity}")
         self.reporter_id = reporter_id
@@ -90,7 +86,6 @@ class ReporterState:
         self.backlog_capacity = backlog_capacity
         self.max_rate = initial_rate
         self.rate = initial_rate
-        self.aimd = aimd or AimdConfig()
         self.evicted_unprotected = 0
         self.retransmissions = 0
         self._signalled_this_step = False
@@ -139,14 +134,14 @@ class ReporterState:
         """Multiplicative decrease, at most once per step."""
         if self._signalled_this_step or self.rate == float("inf"):
             return
-        self.rate = max(self.aimd.min_rate, self.rate * self.aimd.decrease_factor)
+        self.rate = max(AIMD_MIN_RATE, self.rate * AIMD_DECREASE_FACTOR)
         self._signalled_this_step = True
 
     def step(self) -> None:
         """Advance one step: additive rate recovery."""
         self._signalled_this_step = False
         if self.rate != float("inf"):
-            self.rate = min(self.max_rate, self.rate + self.aimd.increase_per_step)
+            self.rate = min(self.max_rate, self.rate + AIMD_INCREASE_PER_STEP)
 
 
 class Decision(Enum):
@@ -188,7 +183,7 @@ class TranslatorFlowState:
         self._nacked_this_step.clear()
 
     def expected_seq(self, reporter_id: int) -> int:
-        return self.last_applied.get(reporter_id, 0) + 1
+        return (self.last_applied.get(reporter_id, 0) + 1) & _SEQ_MASK
 
     def _nack(self, reporter_id: int) -> ReceiveVerdict:
         """NACK verdict, dampened so one gap NACKs at most once per step.
@@ -205,10 +200,16 @@ class TranslatorFlowState:
         return ReceiveVerdict(Decision.NACK, nack=NackPacket(reporter_id, expected))
 
     def handle_seq_reset(self, reset: SeqResetPacket) -> None:
+        """Skip ahead to ``new_expected``, counting the skipped reports as lost.
+
+        Sequences compare in serial-number order, so a reset across the wrap
+        still moves forward; one that would move back is ignored.
+        """
         last = self.last_applied.get(reset.reporter_id, 0)
-        if reset.new_expected - 1 > last:
-            self.skipped_unrecoverable += reset.new_expected - 1 - last
-            self.last_applied[reset.reporter_id] = reset.new_expected - 1
+        skipped = (reset.new_expected - 1 - last) & _SEQ_MASK
+        if 0 < skipped < _SEQ_HALF:
+            self.skipped_unrecoverable += skipped
+            self.last_applied[reset.reporter_id] = (reset.new_expected - 1) & _SEQ_MASK
 
     def receive(self, packet: DtaPacket, verb_cost: int) -> ReceiveVerdict:
         """Decide one report's fate; PROCESS and DIVERT advance the sequence.
@@ -218,13 +219,17 @@ class TranslatorFlowState:
         applying them for loss-detection purposes.
         """
         if packet.essential:
-            expected = self.expected_seq(packet.reporter_id)
-            if packet.essential_seq < expected:
-                self.duplicates_suppressed += 1
-                return _DUPLICATE
-            if packet.essential_seq > expected:
+            seq = packet.essential_seq
+            last = self.last_applied.get(packet.reporter_id, 0)
+            if seq != (last + 1) & _SEQ_MASK:
+                # serial distance from the expected sequence: the upper half
+                # of the 32-bit space is behind it, the lower half ahead
+                if (seq - last - 1) & _SEQ_MASK >= _SEQ_HALF:
+                    self.duplicates_suppressed += 1
+                    return _DUPLICATE
                 return self._nack(packet.reporter_id)
-        elif packet.essential_seq > self.last_applied.get(packet.reporter_id, 0):
+        elif 0 < ((packet.essential_seq - self.last_applied.get(packet.reporter_id, 0))
+                  & _SEQ_MASK) < _SEQ_HALF:
             # non-essential report reveals a gap in the essential substream
             return self._nack(packet.reporter_id)
 

@@ -60,13 +60,12 @@ class HashFamily:
     first use and kept, so a call copies it instead of keying a new one.
     """
 
-    def __init__(self, seed_base: int = 0, description: str = ALGORITHM_ID):
+    def __init__(self, seed_base: int = 0):
         self.seed_base = seed_base & _MASK64
-        self.description = description
         self._states: dict[tuple[int, int], blake2b] = {}
 
     def __repr__(self) -> str:
-        return f"HashFamily(seed_base={self.seed_base:#x}, {self.description!r})"
+        return f"HashFamily(seed_base={self.seed_base:#x}, {ALGORITHM_ID!r})"
 
     def _key(self, domain: int, index: int) -> bytes:
         return struct.pack("<QQQ", self.seed_base, domain, index)
@@ -171,6 +170,3 @@ class ValueCodec:
     def decode(self, code: int):
         """Value whose encoding is ``code``, or None if no value maps there."""
         return self._table.get(code)
-
-    def __contains__(self, v) -> bool:
-        return v is BLANK or (isinstance(v, int) and 0 <= v < self.universe_size)

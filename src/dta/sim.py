@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from enum import Enum
 from typing import Optional
 
@@ -57,7 +57,6 @@ class TranslatorConfig:
     meter_rate: float = float("inf")
     meter_burst: float = float("inf")
     fault_drop_verbs: float = 0.0  # translator->collector fault injection
-    nack_reverse_loss: bool = True  # NACKs ride the lossy reverse link
 
     def __post_init__(self):
         if not 0.0 <= self.fault_drop_verbs < 1.0:
@@ -504,8 +503,8 @@ class Simulation:
                 if packet.body != flowctl.KEEPALIVE_BODY:
                     self.translator.apply(packet)
             elif verdict.decision is flowctl.Decision.NACK and verdict.nack is not None:
-                lossy = self.topology.translator.nack_reverse_loss
-                if lossy and loss_rev and self._rev_rng.random() < loss_rev:
+                # NACKs ride the lossy reverse link
+                if loss_rev and self._rev_rng.random() < loss_rev:
                     report.nacks_lost += 1
                 else:
                     self.reporters[packet.reporter_id].inbox.append(verdict.nack)
@@ -521,7 +520,7 @@ class Simulation:
         if not self.workload.essential:
             return True
         return (self.translator.flow.last_applied.get(rep.state.reporter_id, 0)
-                >= rep.state.essential_seq)
+                == rep.state.essential_seq)
 
     def _drained(self) -> bool:
         return (not self.translator.flow.deferred
@@ -534,8 +533,9 @@ class Simulation:
         applied = self.translator.applied_essential
         if any(count != 1 for count in applied.values()):
             return False
-        expected = sum(r.state.essential_seq for r in self.reporters)
-        return len(applied) + self.report.unrecoverable == expected
+        # every reporter queue is empty once the run ends, so all offered
+        # reports have been stamped, whatever their sequence numbers wrapped to
+        return len(applied) + self.report.unrecoverable == self.report.reports_offered
 
 
 def run(topology: Topology, workload: Workload, seed: int, dump_path=None) -> RunReport:
@@ -543,29 +543,18 @@ def run(topology: Topology, workload: Workload, seed: int, dump_path=None) -> Ru
     return Simulation(topology, workload, seed).run(dump_path)
 
 
-_NESTED_TOPOLOGY = {
-    "link": LinkConfig,
-    "translator": TranslatorConfig,
-    "kw": KwConfig,
-    "pc": PcConfig,
-    "append": AppendConfig,
-    "ki": KiConfig,
-    "sketch": SketchConfig,
-}
-
-
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(path or "<root>", f"expected an object, got {type(data).__name__}")
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+    declared = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key not in known:
+        if key not in declared:
             raise ConfigError(where, "unknown field")
-        nested = _NESTED_TOPOLOGY.get(key)
-        if nested is not None and cls is Topology:
-            kwargs[key] = _build(nested, value, where)
+        section = declared[key].default_factory
+        if is_dataclass(section):  # a nested section such as topology.link
+            kwargs[key] = _build(section, value, where)
         elif key == "kind" and cls is Workload:
             try:
                 kwargs[key] = WorkloadKind(value)

@@ -58,6 +58,11 @@ def test_suite_unknown_name_and_param(capsys):
     assert run_cli("suite", "no-such-suite") == 1
     assert "choices" in capsys.readouterr().err
     assert run_cli("suite", "bounds", "--set", "bogus=1") == 1
+    capsys.readouterr()
+    assert run_cli("suite", "bounds", "--set", "alphas=[]") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "bounds" in captured.err
 
 
 def test_run_and_diff_and_dump(tmp_path, capsys):
@@ -107,6 +112,8 @@ def test_validate_config(tmp_path, capsys):
 def test_validate_rejects_malformed_csv(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("# suite=x\na,b\n1,2,3\n")
+    assert run_cli("validate", str(path)) == 1
+    path.write_text("# suite=x\na,b\n1,2\n1\n")
     assert run_cli("validate", str(path)) == 1
 
 

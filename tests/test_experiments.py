@@ -35,6 +35,18 @@ def test_unknown_suite_rejected():
         experiment_suite("bounds", {"not_a_param": 1})
 
 
+def test_empty_grid_is_rejected():
+    with pytest.raises(ValueError, match="bounds"):
+        experiment_suite("bounds", {"alphas": []})
+
+
+def test_read_csv_skips_blank_lines():
+    buf = io.StringIO("# suite=x\na,b\n1,2\n\n3,4\n")
+    meta, rows = read_csv(buf)
+    assert meta == {"suite": "x"}
+    assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
+
+
 def test_default_params_are_copies():
     params = default_params("bounds")
     params["alphas"].append(99)

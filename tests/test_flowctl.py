@@ -237,3 +237,25 @@ def test_nack_for_evicted_seq_before_the_wrap_resets_to_oldest_survivor():
     out = [decode(o) for o in rep.handle_nack(NackPacket(0, 2**32 - 2))]
     assert out[0] == SeqResetPacket(0, 0)
     assert [p.essential_seq for p in out[1:]] == [0, 1]
+
+
+def test_translator_follows_the_sequence_across_the_wrap():
+    flow = TranslatorFlowState()
+    flow.last_applied[0] = 2**32 - 3
+    assert flow.expected_seq(0) == 2**32 - 2
+    flow.handle_seq_reset(SeqResetPacket(0, 0))  # skips 2**32 - 2 and 2**32 - 1
+    assert flow.skipped_unrecoverable == 2
+    assert flow.last_applied[0] == 2**32 - 1
+    assert flow.expected_seq(0) == 0
+    rep = ReporterState(0)
+    rep.essential_seq = 2**32 - 1
+    first = decode(rep.send(essential_packet()))  # seq 0
+    assert flow.receive(first, 1).decision is Decision.PROCESS
+    assert flow.receive(first, 1).decision is Decision.DUPLICATE
+    flow.handle_seq_reset(SeqResetPacket(0, 2**32 - 5))  # behind: ignored
+    assert flow.last_applied[0] == 0 and flow.skipped_unrecoverable == 2
+    rep.send(essential_packet())  # seq 1, lost
+    ahead = decode(rep.send(essential_packet()))  # seq 2
+    verdict = flow.receive(ahead, 1)
+    assert verdict.decision is Decision.NACK
+    assert verdict.nack == NackPacket(0, 1)

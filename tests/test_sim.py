@@ -194,6 +194,12 @@ def test_config_error_paths():
         topology_from_dict({"nonsense": 1})
     assert "nonsense" in str(err.value)
     with pytest.raises(ConfigError) as err:
+        topology_from_dict({"link": 5})
+    assert err.value.path == "topology.link"
+    with pytest.raises(ConfigError) as err:
+        topology_from_dict({"kw": {"bogus": 1}})
+    assert err.value.path == "topology.kw.bogus"
+    with pytest.raises(ConfigError) as err:
         workload_from_dict({"kind": "bogus"})
     assert "workload.kind" in str(err.value)
     with pytest.raises(ConfigError):
@@ -275,3 +281,25 @@ def test_run_report_is_pinned(name):
     """Every counter and the memory image of a seeded run stay byte-for-byte."""
     topo, wl, expected = PINNED_RUNS[name]
     assert sim.run(topo, wl, seed=17).to_dict() == {**_CLEAN, **expected}
+
+
+_WRAP_START = 2**32 - 700
+
+
+@pytest.mark.parametrize("link, backlog", [
+    (LinkConfig(0.0, 0.0), 256),
+    (LinkConfig(0.05, 0.05), 256),
+    (LinkConfig(0.2, 0.2), 4),  # evictions force sequence resets across the wrap
+])
+def test_sequence_wrap_leaves_the_run_unchanged(link, backlog):
+    """Essential sequences that cross 2**32 mid-run give the same report as from 0."""
+    topo = Topology(reporters=2, link=link, backlog_capacity=backlog)
+    wl = Workload(kind=WorkloadKind.APPEND_EVENTS, reports=3000, reports_per_step=50)
+    from_zero = sim.run(topo, wl, seed=29).to_dict()
+    wrapping = Simulation(topo, wl, seed=29)
+    for rep in wrapping.reporters:
+        rep.state.essential_seq = _WRAP_START
+        wrapping.translator.flow.last_applied[rep.state.reporter_id] = _WRAP_START
+    assert wrapping.run().to_dict() == from_zero
+    assert from_zero["drained"] and from_zero["exactly_once_ok"]
+    assert (from_zero["unrecoverable"] > 0) == (backlog == 4)
