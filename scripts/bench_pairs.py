@@ -7,8 +7,10 @@ Each pair runs ``bench/run.py --trace 0`` once in each checkout on one seed
 (pair i uses the i-th seed, cycling through ``--seeds``); the side that runs
 first alternates from pair to pair.  For every end-to-end metric that
 CHANGE_DIR's ``BENCHMARK.json`` lists, the record gives each side's runs,
-median and quartiles, the ratio of the medians and the number of pairs the
-change won (ties count for neither side).  The JSON goes to stdout.
+median and quartiles, the ratio of the medians, the number of pairs the
+change won (ties count for neither side) and ``beyond_bound``: whether the
+change's median moved the worse way by more than the metric's ``bound``.
+Each metric beyond its bound is also named on stderr.  The JSON goes to stdout.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ def compare(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         wins = sum(c > p if higher else c < p for p, c in zip(values["parent"], values["change"]))
         parent, change = summary(values["parent"]), summary(values["change"])
+        ratio = change["median"] / parent["median"] if parent["median"] else None
+        beyond = ratio is not None and (1 - ratio if higher else ratio - 1) > metric["bound"]
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": parent, "change": change,
-            "change_over_parent": (round(change["median"] / parent["median"], 4)
-                                   if parent["median"] else None),
+            "change_over_parent": None if ratio is None else round(ratio, 4),
             "change_wins_pairs": f"{wins}/{len(values['change'])}",
+            "beyond_bound": beyond,
         }
     return out
 
@@ -70,11 +74,18 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list[int], 
             runs[side].append(run_once(dirs[side], workload, seed, seconds))
             print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side} done", file=sys.stderr)
     every = runs["parent"] + runs["change"]
+    compared = compare(runs, metrics)
+    for metric in metrics:
+        entry = compared[metric["name"]]
+        if entry["beyond_bound"]:
+            print(f"{workload} {metric['name']}: change/parent median "
+                  f"{entry['change_over_parent']} is beyond its bound {metric['bound']}",
+                  file=sys.stderr)
     return {
         "seeds": used,
         "pairs": pairs,
         "runs_correct": all(r["correct"] for r in every),
-        "metrics": compare(runs, metrics),
+        "metrics": compared,
         "attempted_both_sides": sum(r["attempted"] for r in every),
         "failed_both_sides": sum(r["failed"] for r in every),
     }

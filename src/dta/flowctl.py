@@ -26,13 +26,14 @@ from itertools import dropwhile
 from typing import Optional, Union
 
 from .wire import (
+    FLAG_ESSENTIAL,
     AppendBody,
+    Body,
     CongestionSignal,
     DtaPacket,
     NackPacket,
     SeqResetPacket,
     encode,
-    make_flags,
 )
 
 DEFAULT_BACKLOG_CAPACITY = 256
@@ -44,9 +45,12 @@ AIMD_INCREASE_PER_STEP = 1.0
 AIMD_DECREASE_FACTOR = 0.5
 AIMD_MIN_RATE = 1.0
 
-# Reserved list id marking a report as a liveness probe: it carries the
-# reporter's current essential count for gap detection but writes nothing.
-KEEPALIVE_BODY = AppendBody(list_id=0xFFFFFFFF, entry=b"")
+# Reserved list id of a liveness probe: it carries the essential count but writes nothing.
+KEEPALIVE_LIST_ID = 0xFFFFFFFF
+
+
+def is_keepalive(body: Body) -> bool:
+    return type(body) is AppendBody and body.list_id == KEEPALIVE_LIST_ID and body.entry == b""
 
 
 @dataclass
@@ -90,13 +94,12 @@ class ReporterState:
         self.retransmissions = 0
         self._signalled_this_step = False
 
-    def send(self, packet: DtaPacket) -> bytes:
+    def send(self, body: Body, flags: int) -> bytes:
         """Stamp and encode one report, keeping an essential one's octets in the backlog."""
-        essential = packet.essential
+        essential = flags & FLAG_ESSENTIAL
         if essential:
             self.essential_seq = (self.essential_seq + 1) & _SEQ_MASK
-        octets = encode(DtaPacket(packet.body, self.reporter_id, self.essential_seq,
-                                  packet.flags, packet.version, packet.src_port, packet.dst_port))
+        octets = encode(DtaPacket(body, self.reporter_id, self.essential_seq, flags))
         if essential:
             if len(self.backlog) >= self.backlog_capacity:
                 self.backlog.popitem(last=False)
@@ -106,7 +109,7 @@ class ReporterState:
 
     def heartbeat(self) -> bytes:
         """Non-essential keepalive carrying the current count, for gap detection."""
-        return self.send(DtaPacket(KEEPALIVE_BODY, self.reporter_id, 0, make_flags()))
+        return self.send(AppendBody(KEEPALIVE_LIST_ID, b""), 0)
 
     def handle_nack(self, nack: NackPacket) -> list[bytes]:
         """Go-back-N: resend every backlog entry from the NACKed sequence on.
@@ -218,7 +221,8 @@ class TranslatorFlowState:
         order, so accepting them into the deferred queue is as good as
         applying them for loss-detection purposes.
         """
-        if packet.essential:
+        essential = packet.flags & FLAG_ESSENTIAL
+        if essential:
             seq = packet.essential_seq
             last = self.last_applied.get(packet.reporter_id, 0)
             if seq != (last + 1) & _SEQ_MASK:
@@ -237,7 +241,7 @@ class TranslatorFlowState:
         # essential application order is preserved
         if self.deferred or not self.meter.try_consume(verb_cost):
             signal = CongestionSignal(packet.reporter_id)
-            if packet.essential:
+            if essential:
                 self.last_applied[packet.reporter_id] = packet.essential_seq
                 self.deferred.append((packet, verb_cost))
                 self.diverted += 1
@@ -245,7 +249,7 @@ class TranslatorFlowState:
             self.dropped_low_priority += 1
             return ReceiveVerdict(Decision.DROP_LOW_PRIORITY, congestion=signal)
 
-        if packet.essential:
+        if essential:
             self.last_applied[packet.reporter_id] = packet.essential_seq
         return _PROCESS
 

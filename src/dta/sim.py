@@ -282,13 +282,11 @@ class Translator:
         # exactly-once audit
         self.applied_essential: dict[tuple[int, int], int] = {}
 
-    def verb_cost(self, packet: wire.DtaPacket) -> int:
-        body = packet.body
-        if body == flowctl.KEEPALIVE_BODY:
-            return 0
-        if isinstance(body, (wire.KeyWriteBody, wire.KeyIncrementBody)):
+    def verb_cost(self, body: wire.Body) -> int:
+        """Verbs one report, not a keepalive, costs the meter."""
+        if type(body) in (wire.KeyWriteBody, wire.KeyIncrementBody):
             return body.redundancy
-        if isinstance(body, wire.PostcardBody):
+        if type(body) is wire.PostcardBody:
             return self.topology.pc.redundancy
         return 1
 
@@ -442,10 +440,7 @@ class Simulation:
                     arrivals.append(rep.outbox.popleft())
                     sent += 1
                 while rep.pending_bodies and sent + 1 <= budget:
-                    body = rep.pending_bodies.popleft()
-                    arrivals.append(rep.state.send(
-                        wire.DtaPacket(body, rep.state.reporter_id, 0, flags)
-                    ))
+                    arrivals.append(rep.state.send(rep.pending_bodies.popleft(), flags))
                     sent += 1
                 if not rep.queue_empty():
                     traffic_pending = True
@@ -498,9 +493,11 @@ class Simulation:
             if isinstance(packet, wire.SeqResetPacket):
                 flow.handle_seq_reset(packet)
                 continue
-            verdict = flow.receive(packet, self.translator.verb_cost(packet))
+            keepalive = flowctl.is_keepalive(packet.body)
+            cost = 0 if keepalive else self.translator.verb_cost(packet.body)
+            verdict = flow.receive(packet, cost)
             if verdict.decision is flowctl.Decision.PROCESS:
-                if packet.body != flowctl.KEEPALIVE_BODY:
+                if not keepalive:
                     self.translator.apply(packet)
             elif verdict.decision is flowctl.Decision.NACK and verdict.nack is not None:
                 # NACKs ride the lossy reverse link

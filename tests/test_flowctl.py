@@ -1,12 +1,16 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from dta import flowctl
 from dta.flowctl import (
     DEFAULT_BACKLOG_CAPACITY,
-    KEEPALIVE_BODY,
+    KEEPALIVE_LIST_ID,
     Decision,
     ReporterState,
     TokenBucket,
     TranslatorFlowState,
+    is_keepalive,
 )
 from dta.wire import (
     AppendBody,
@@ -20,10 +24,7 @@ from dta.wire import (
 )
 
 ESSENTIAL = make_flags(essential=True)
-
-
-def essential_packet(body=None, reporter=0):
-    return DtaPacket(body or AppendBody(0, b"\x01\x02\x03\x04"), reporter, 0, ESSENTIAL)
+REPORT = AppendBody(0, b"\x01\x02\x03\x04")
 
 
 def test_default_backlog_matches_reference_deployment():
@@ -33,15 +34,15 @@ def test_default_backlog_matches_reference_deployment():
 def test_essential_sends_stamp_sequentially_and_backlog_grows():
     rep = ReporterState(0)
     for _ in range(3):
-        rep.send(essential_packet())
+        rep.send(REPORT, ESSENTIAL)
     assert rep.essential_seq == 3
     assert sorted(rep.backlog) == [1, 2, 3]
 
 
 def test_non_essential_carries_count_without_increment():
     rep = ReporterState(0)
-    rep.send(essential_packet())
-    octets = rep.send(DtaPacket(AppendBody(0, b"\x00" * 4), 0, 0, make_flags()))
+    rep.send(REPORT, ESSENTIAL)
+    octets = rep.send(AppendBody(0, b"\x00" * 4), make_flags())
     packet = decode(octets)
     assert not packet.essential
     assert packet.essential_seq == 1
@@ -52,7 +53,7 @@ def test_non_essential_carries_count_without_increment():
 def test_backlog_overflow_evicts_oldest():
     rep = ReporterState(0, backlog_capacity=4)
     for _ in range(6):
-        rep.send(essential_packet())
+        rep.send(REPORT, ESSENTIAL)
     assert sorted(rep.backlog) == [3, 4, 5, 6]
     assert rep.evicted_unprotected == 2
 
@@ -61,7 +62,7 @@ def test_in_order_sequence_processes():
     flow = TranslatorFlowState()
     rep = ReporterState(0)
     for _ in range(3):
-        packet = decode(rep.send(essential_packet()))
+        packet = decode(rep.send(REPORT, ESSENTIAL))
         assert flow.receive(packet, 1).decision is Decision.PROCESS
     assert flow.last_applied[0] == 3
     assert flow.nacks_sent == 0
@@ -70,8 +71,8 @@ def test_in_order_sequence_processes():
 def test_gap_triggers_nack_and_aborts_processing():
     flow = TranslatorFlowState()
     rep = ReporterState(0)
-    first = decode(rep.send(essential_packet()))
-    third_octets = [rep.send(essential_packet()) for _ in range(2)][1]
+    first = decode(rep.send(REPORT, ESSENTIAL))
+    third_octets = [rep.send(REPORT, ESSENTIAL) for _ in range(2)][1]
     assert flow.receive(first, 1).decision is Decision.PROCESS
     verdict = flow.receive(decode(third_octets), 1)
     assert verdict.decision is Decision.NACK
@@ -82,9 +83,9 @@ def test_gap_triggers_nack_and_aborts_processing():
 def test_nack_dampened_within_a_step():
     flow = TranslatorFlowState()
     rep = ReporterState(0)
-    rep.send(essential_packet())  # seq 1 lost
-    later = [decode(rep.send(essential_packet())) for _ in range(5)]
-    flow.receive(decode(rep.send(essential_packet())), 1)  # establish gap? no: seq 7 > 1
+    rep.send(REPORT, ESSENTIAL)  # seq 1 lost
+    later = [decode(rep.send(REPORT, ESSENTIAL)) for _ in range(5)]
+    flow.receive(decode(rep.send(REPORT, ESSENTIAL)), 1)  # establish gap? no: seq 7 > 1
     nacks = [flow.receive(p, 1) for p in later]
     with_wire = [v for v in nacks if v.nack is not None]
     assert all(v.decision is Decision.NACK for v in nacks)
@@ -97,7 +98,7 @@ def test_nack_dampened_within_a_step():
 def test_duplicate_retransmissions_suppressed():
     flow = TranslatorFlowState()
     rep = ReporterState(0)
-    packet = decode(rep.send(essential_packet()))
+    packet = decode(rep.send(REPORT, ESSENTIAL))
     assert flow.receive(packet, 1).decision is Decision.PROCESS
     assert flow.receive(packet, 1).decision is Decision.DUPLICATE
     assert flow.duplicates_suppressed == 1
@@ -106,18 +107,31 @@ def test_duplicate_retransmissions_suppressed():
 def test_non_essential_report_reveals_gap():
     flow = TranslatorFlowState()
     rep = ReporterState(0)
-    rep.send(essential_packet())  # lost
+    rep.send(REPORT, ESSENTIAL)  # lost
     heartbeat = decode(rep.heartbeat())
-    assert heartbeat.body == KEEPALIVE_BODY
+    assert is_keepalive(heartbeat.body)
     verdict = flow.receive(heartbeat, 0)
     assert verdict.decision is Decision.NACK
     assert verdict.nack == NackPacket(0, 1)
 
 
+def test_keepalive_is_exactly_the_reserved_empty_append():
+    assert is_keepalive(decode(ReporterState(0).heartbeat()).body)
+    assert not is_keepalive(AppendBody(KEEPALIVE_LIST_ID, b"x"))
+    assert not is_keepalive(AppendBody(0, b""))
+    assert not is_keepalive(KeyWriteBody(2, b"key0", b""))
+
+
+def test_shared_verdicts_are_frozen():
+    for shared in (flowctl._PROCESS, flowctl._DUPLICATE):
+        with pytest.raises(FrozenInstanceError):
+            shared.decision = Decision.NACK
+
+
 def test_go_back_n_resends_from_expected():
     rep = ReporterState(0)
     for _ in range(3):
-        rep.send(essential_packet())
+        rep.send(REPORT, ESSENTIAL)
     resends = [decode(o) for o in rep.handle_nack(NackPacket(0, 2))]
     assert [p.essential_seq for p in resends] == [2, 3]
     assert rep.retransmissions == 2
@@ -126,7 +140,7 @@ def test_go_back_n_resends_from_expected():
 def test_nack_for_evicted_seq_resets_to_oldest_survivor():
     rep = ReporterState(0, backlog_capacity=2)
     for _ in range(5):
-        rep.send(essential_packet())  # backlog holds 4, 5
+        rep.send(REPORT, ESSENTIAL)  # backlog holds 4, 5
     out = [decode(o) for o in rep.handle_nack(NackPacket(0, 2))]
     assert isinstance(out[0], SeqResetPacket)
     assert out[0].new_expected == 4
@@ -140,7 +154,7 @@ def test_translator_skips_after_seq_reset():
     assert flow.skipped_unrecoverable == 3
     rep = ReporterState(0)
     rep.essential_seq = 3
-    packet = decode(rep.send(essential_packet()))  # seq 4
+    packet = decode(rep.send(REPORT, ESSENTIAL))  # seq 4
     assert flow.receive(packet, 1).decision is Decision.PROCESS
 
 
@@ -151,7 +165,7 @@ def test_meter_processes_and_diverts_per_budget():
     body = KeyWriteBody(2, b"key0", b"val0")
     decisions = []
     for _ in range(25):
-        packet = decode(rep.send(DtaPacket(body, 0, 0, ESSENTIAL)))
+        packet = decode(rep.send(body, ESSENTIAL))
         decisions.append(flow.receive(packet, 2).decision)
     assert decisions.count(Decision.PROCESS) == 5
     assert decisions.count(Decision.DIVERT) == 20
@@ -178,8 +192,8 @@ def test_non_essential_dropped_when_saturated():
 def test_ordering_preserved_behind_deferred_queue():
     flow = TranslatorFlowState(TokenBucket(rate=2, burst=2, tokens=0))
     rep = ReporterState(0)
-    first = decode(rep.send(essential_packet()))
-    second = decode(rep.send(essential_packet()))
+    first = decode(rep.send(REPORT, ESSENTIAL))
+    second = decode(rep.send(REPORT, ESSENTIAL))
     assert flow.receive(first, 2).decision is Decision.DIVERT
     flow.meter.step()  # room for one report now
     # second must still queue behind first, not jump ahead
@@ -221,7 +235,7 @@ def reporter_with_backlog(seqs, capacity=DEFAULT_BACKLOG_CAPACITY):
     rep = ReporterState(0, backlog_capacity=capacity)
     rep.essential_seq = (seqs[0] - 1) & 0xFFFFFFFF
     for _ in seqs:
-        rep.send(essential_packet())
+        rep.send(REPORT, ESSENTIAL)
     assert list(rep.backlog) == seqs[-capacity:]
     return rep
 
@@ -249,13 +263,13 @@ def test_translator_follows_the_sequence_across_the_wrap():
     assert flow.expected_seq(0) == 0
     rep = ReporterState(0)
     rep.essential_seq = 2**32 - 1
-    first = decode(rep.send(essential_packet()))  # seq 0
+    first = decode(rep.send(REPORT, ESSENTIAL))  # seq 0
     assert flow.receive(first, 1).decision is Decision.PROCESS
     assert flow.receive(first, 1).decision is Decision.DUPLICATE
     flow.handle_seq_reset(SeqResetPacket(0, 2**32 - 5))  # behind: ignored
     assert flow.last_applied[0] == 0 and flow.skipped_unrecoverable == 2
-    rep.send(essential_packet())  # seq 1, lost
-    ahead = decode(rep.send(essential_packet()))  # seq 2
+    rep.send(REPORT, ESSENTIAL)  # seq 1, lost
+    ahead = decode(rep.send(REPORT, ESSENTIAL))  # seq 2
     verdict = flow.receive(ahead, 1)
     assert verdict.decision is Decision.NACK
     assert verdict.nack == NackPacket(0, 1)

@@ -1,17 +1,59 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dta import memstore
 from dta.memstore import (
+    PSN_MOD,
     FetchAdd,
     MemoryRegion,
     OutOfBoundsError,
     QpState,
     QueuePair,
+    VerbResult,
     Write,
     apply_verb,
     reset_qp,
 )
+
+_U64_MOD = 1 << 64
+
+
+def reference_apply_verb(region, qp, psn, verb):
+    """apply_verb as written before its checks were inlined: validate, then sequence, then apply."""
+    reference_validate(region, verb)
+    if qp.state is QpState.DESYNCED:
+        return VerbResult(accepted=False)
+    if psn % PSN_MOD != qp.expected_psn:
+        qp.state = QpState.DESYNCED
+        return VerbResult(accepted=False)
+    qp.expected_psn = (qp.expected_psn + 1) % PSN_MOD
+
+    buf = region._buf
+    if isinstance(verb, Write):
+        buf[verb.address:verb.address + len(verb.payload)] = verb.payload
+        return VerbResult(accepted=True)
+    old = int.from_bytes(buf[verb.address:verb.address + 8], "little")
+    new = (old + verb.addend) % _U64_MOD
+    buf[verb.address:verb.address + 8] = new.to_bytes(8, "little")
+    return VerbResult(accepted=True, old_value=old)
+
+
+def reference_validate(region, verb):
+    if isinstance(verb, Write):
+        if len(verb.payload) < 1:
+            raise ValueError("Write payload must be at least one octet")
+        region._check_span(verb.address, len(verb.payload))
+    elif isinstance(verb, FetchAdd):
+        if verb.address % 8 != 0:
+            raise OutOfBoundsError(f"FetchAdd address {verb.address} is not 8-octet aligned")
+        if not 0 <= verb.addend < _U64_MOD:
+            raise ValueError(f"FetchAdd addend must be unsigned 64-bit, got {verb.addend}")
+        region._check_span(verb.address, 8)
+    else:
+        raise TypeError(f"unknown verb {verb!r}")
 
 
 def fresh(size=64):
@@ -135,3 +177,50 @@ def test_snapshot_dump_roundtrip(tmp_path):
     path = tmp_path / "region.bin"
     region.dump(path)
     assert path.read_bytes() == region.snapshot()
+
+
+REGION = 40  # not a multiple of 8, so FetchAdd can fall off the end while aligned
+_verbs = st.one_of(
+    st.builds(Write, st.integers(-3, REGION + 2), st.binary(max_size=6)),
+    st.builds(FetchAdd, st.sampled_from([-8, -3, 0, 4, 8, 24, 32, 40]),
+              st.one_of(st.integers(0, 300), st.sampled_from([-1, _U64_MOD - 1, _U64_MOD]))),
+    st.sampled_from([None, (0, b"\x01")]),  # not a verb
+)
+# a verb with the PSN offset from the one expected (a gap or a repeat unless 0 or 2**24),
+# or a reset to a PSN
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("verb"), st.sampled_from([0, 0, 0, 1, -1, PSN_MOD]), _verbs),
+    st.tuples(st.just("reset"), st.integers(0, PSN_MOD + 3)),
+), max_size=30)
+
+
+def _outcome(apply, region, qp, psn, verb):
+    try:
+        result = apply(region, qp, psn, verb)
+    except Exception as exc:  # the exception is part of the outcome compared
+        return type(exc), str(exc)
+    return result.accepted, result.old_value
+
+
+@given(_steps)
+def test_apply_verb_matches_the_reference(steps):
+    """Inline checks give the reference's exceptions, results, memory and queue-pair state."""
+    sides = [(apply_verb, MemoryRegion(REGION), QueuePair()),
+             (reference_apply_verb, MemoryRegion(REGION), QueuePair())]
+    for op, arg, *verb in steps:
+        outcomes = []
+        for apply, region, qp in sides:
+            if op == "reset":
+                reset_qp(qp, arg)
+            else:
+                outcomes.append(_outcome(apply, region, qp, qp.expected_psn + arg, verb[0]))
+        assert outcomes[:1] == outcomes[1:]
+        (_, region, qp), (_, ref_region, ref_qp) = sides
+        assert region.snapshot() == ref_region.snapshot()
+        assert (qp.state, qp.expected_psn) == (ref_qp.state, ref_qp.expected_psn)
+
+
+def test_shared_results_are_frozen():
+    for shared in (memstore._ACCEPTED, memstore._REJECTED):
+        with pytest.raises(FrozenInstanceError):
+            shared.accepted = not shared.accepted

@@ -41,3 +41,21 @@ def test_bench_pairs_writes_a_record(capsys):
         entry = result["metrics"][metric]
         assert len(entry["parent"]["runs"]) == len(entry["change"]["runs"]) == 1
         assert entry["change_wins_pairs"] in ("0/1", "1/1")
+
+
+def _runs(name, parent, change):
+    return {side: [{"metrics": {name: {"value": v}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+
+
+def test_bench_pairs_flags_a_metric_beyond_its_bound():
+    compare = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["compare"]
+    setup = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+    rate = {"name": "reports_per_s", "unit": "1/s", "better": "higher", "bound": 0.15}
+    assert compare(_runs("setup_s", [0.156] * 3, [0.204] * 3), [setup])["setup_s"]["beyond_bound"]
+    assert not compare(_runs("setup_s", [0.156] * 3, [0.18] * 3),
+                       [setup])["setup_s"]["beyond_bound"]
+    fell = compare(_runs("reports_per_s", [1000.0] * 3, [840.0] * 3), [rate])["reports_per_s"]
+    assert fell["beyond_bound"] and fell["change_over_parent"] == 0.84
+    rose = compare(_runs("reports_per_s", [1000.0] * 3, [1500.0] * 3), [rate])["reports_per_s"]
+    assert not rose["beyond_bound"]
