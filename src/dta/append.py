@@ -59,9 +59,6 @@ class PollCursor:
     list_id: int
     consumed: int = 0
 
-    def tail(self, lst: AppendList) -> int:
-        return self.consumed % lst.capacity
-
 
 class AppendEngine:
     """Translator-side state for all lists sharing one batch size.

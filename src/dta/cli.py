@@ -54,20 +54,28 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _load_simulation(path, seed: int) -> tuple[dict, sim.Simulation]:
+    """Parse a run config and build its Simulation; a bad config raises ValueError.
+
+    ``run`` and ``validate`` share this, so a config ``validate`` accepts is
+    one the stores accept too, not only the config parser.
+    """
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    topology = sim.topology_from_dict(config.get("topology", {}))
+    workload = sim.workload_from_dict(config.get("workload", {}))
+    return config, sim.Simulation(topology, workload, seed)
+
+
 def _cmd_run(args) -> int:
+    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        topology = sim.topology_from_dict(config.get("topology", {}))
-        workload = sim.workload_from_dict(config.get("workload", {}))
-    except sim.ConfigError as exc:
+        config, simulation = _load_simulation(args.config, seed)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = sim.run(topology, workload, seed, dump_path=args.dump)
+    report = simulation.run(args.dump)
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
     payload = {"seed": seed, "config_hash": config_hash, **report.to_dict()}
@@ -134,6 +142,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_dump(args) -> int:
+    if args.offset < 0 or (args.length is not None and args.length < 0):
+        print("error: --offset and --length must be >= 0", file=sys.stderr)
+        return 1
     try:
         data = Path(args.file).read_bytes()
     except OSError as exc:
@@ -175,12 +186,10 @@ def _cmd_validate(args) -> int:
                 meta, rows = experiments.read_csv(fh)
             print(f"ok: {len(rows)} rows, metadata keys: {sorted(meta)}")
             return 0
-        config = json.loads(path.read_text())
-        sim.topology_from_dict(config.get("topology", {}))
-        sim.workload_from_dict(config.get("workload", {}))
+        _load_simulation(path, 0)
         print("ok: config valid")
         return 0
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Optional
 
 from .hashing import HashFamily
 from .memstore import FetchAdd, MemoryRegion, Write
@@ -76,11 +76,6 @@ def ki_query(store: KiStore, key: bytes, n_redundancy: int) -> int:
     )
 
 
-def ki_reset(store: KiStore) -> list[Write]:
-    """Epoch reset: one write zeroing the whole counter array."""
-    return [Write(store.base, bytes(store.buflen * COUNTER_LEN))]
-
-
 class MergeOp(Enum):
     SUM = "sum"
     MAX = "max"
@@ -97,12 +92,6 @@ class SketchSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
-
-
-@dataclass(frozen=True)
-class Merged:
-    col_index: int
-    completed: bool
 
 
 @dataclass(frozen=True)
@@ -133,11 +122,11 @@ class SketchMergeState:
 
 
 def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
-                     col_values: list[int]) -> Union[Merged, Nack]:
+                     col_values: list[int]) -> Optional[Nack]:
     """Merge one reporter's column if it is the next in order, else refuse.
 
-    A refused column leaves all state untouched; the Nack carries the index
-    the reporter must resend from.
+    Returns None on a merge.  A refused column leaves all state untouched and
+    returns a Nack carrying the index the reporter must resend from.
     """
     if len(col_values) != state.spec.rows:
         raise ValueError(f"expected {state.spec.rows} rows, got {len(col_values)}")
@@ -157,10 +146,9 @@ def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
                 column[r] = v
     state.last_in_order[reporter] = col_index
     state.merged_count[col_index] += 1
-    completed = state.merged_count[col_index] == state.reporters
-    if completed:
+    if state.merged_count[col_index] == state.reporters:
         state.complete[col_index] = True
-    return Merged(col_index, completed)
+    return None
 
 
 def sm_flush_completed(state: SketchMergeState, store_base: int,

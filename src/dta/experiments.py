@@ -254,19 +254,18 @@ def kw_measure_ages(
     ages: list[int],
     window: int = 1,
     seed: int = 0,
-    threshold: int = 1,
-    policy: QueryPolicy = QueryPolicy.PLURALITY,
 ) -> list[McStats]:
-    """Query outcomes per age bucket after ``kw_write_stream`` wrote ``n_keys``.
+    """Plurality-vote query outcomes per age bucket after ``kw_write_stream``.
 
-    The key at stream position i has write-distance n_keys-1-i; each bucket
-    tallies the keys with distance in [age, age+window), clamped to the stream.
+    Of the ``n_keys`` keys written, the one at stream position i has
+    write-distance n_keys-1-i; each bucket tallies the keys with distance in
+    [age, age+window), clamped to the stream.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if ages and max(ages) >= n_keys:
         raise ValueError(f"max age {max(ages)} needs more than {n_keys} keys")
-    query, expected = _kw_probes(store, n_redundancy, seed, threshold, policy)
+    query, expected = _kw_probes(store, n_redundancy, seed, 1, QueryPolicy.PLURALITY)
     return [tally(range(n_keys - min(age + window, n_keys), n_keys - age), query, expected)
             for age in ages]
 

@@ -48,8 +48,6 @@ class QueryOutcome(Enum):
 class KwQueryResult:
     outcome: QueryOutcome
     value: Optional[bytes] = None
-    # distinct candidate values with their multiplicities, descending
-    candidates: tuple = ()
 
 
 @dataclass
@@ -136,17 +134,17 @@ def kw_query(
         csum, value = store.read_slot(store.family.slot_hash(n, key, store.buflen))
         if csum == want:
             counts[value] = counts.get(value, 0) + 1
-    ranked = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if not ranked:
         return KwQueryResult(QueryOutcome.EMPTY)
 
     if policy is QueryPolicy.SINGLE_VALUE:
         if len(ranked) == 1:
-            return KwQueryResult(QueryOutcome.VALUE, ranked[0][0], ranked)
-        return KwQueryResult(QueryOutcome.AMBIGUOUS, candidates=ranked)
+            return KwQueryResult(QueryOutcome.VALUE, ranked[0][0])
+        return KwQueryResult(QueryOutcome.AMBIGUOUS)
 
     top_value, top_count = ranked[0]
     tied = len(ranked) > 1 and ranked[1][1] == top_count
     if tied or top_count < threshold:
-        return KwQueryResult(QueryOutcome.AMBIGUOUS, candidates=ranked)
-    return KwQueryResult(QueryOutcome.VALUE, top_value, ranked)
+        return KwQueryResult(QueryOutcome.AMBIGUOUS)
+    return KwQueryResult(QueryOutcome.VALUE, top_value)

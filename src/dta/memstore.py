@@ -12,14 +12,15 @@ readers snapshot between simulation steps.  Multi-octet values stored by
 verbs are little-endian.
 
 Verbs, built per report, are plain slotted dataclasses (a frozen field costs
-about 250 ns to set); the ``VerbResult`` instances shared by calls stay frozen.
+about 250 ns to set).  The translator posts them one-sided and never reads a
+response: applying a verb tells it only whether the verb was accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 PSN_MOD = 1 << 24
 _U64_MOD = 1 << 64
@@ -60,22 +61,6 @@ class FetchAdd:
 Verb = Union[Write, FetchAdd]
 
 
-@dataclass(frozen=True)
-class VerbResult:
-    """Outcome of presenting one verb packet to the queue pair.
-
-    ``accepted`` is False when the verb was rejected by PSN state (the verb
-    had no effect).  ``old_value`` carries the pre-add counter for FetchAdd.
-    """
-
-    accepted: bool
-    old_value: Optional[int] = None
-
-
-_ACCEPTED = VerbResult(True)
-_REJECTED = VerbResult(False)
-
-
 class MemoryRegion:
     """Contiguous byte-addressable registered memory."""
 
@@ -108,8 +93,10 @@ class MemoryRegion:
             )
 
 
-def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> VerbResult:
+def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> bool:
     """Apply one verb packet with sequence number ``psn`` through ``qp``.
+
+    Returns whether the queue pair accepted it; a rejected verb has no effect.
 
     The verb is checked before sequencing: a malformed verb or an out-of-range
     address is a bug regardless of queue-pair state.  A PSN mismatch on an
@@ -135,18 +122,18 @@ def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> Ver
     if address < 0 or end > len(buf):
         region._check_span(address, end - address)  # raises, naming the span
     if qp.state is QpState.DESYNCED:
-        return _REJECTED
+        return False
     if psn % PSN_MOD != qp.expected_psn:
         qp.state = QpState.DESYNCED
-        return _REJECTED
+        return False
     qp.expected_psn = (qp.expected_psn + 1) % PSN_MOD
 
     if cls is Write:
         buf[address:end] = verb.payload
-        return _ACCEPTED
-    old = int.from_bytes(buf[address:end], "little")
-    buf[address:end] = ((old + verb.addend) % _U64_MOD).to_bytes(8, "little")
-    return VerbResult(True, old)
+    else:
+        old = int.from_bytes(buf[address:end], "little")
+        buf[address:end] = ((old + verb.addend) % _U64_MOD).to_bytes(8, "little")
+    return True
 
 
 def reset_qp(qp: QueuePair, new_psn: int) -> None:

@@ -98,10 +98,6 @@ class EmittedChunk:
     cells: tuple
     reason: EmissionReason
 
-    @property
-    def fill_count(self) -> int:
-        return sum(1 for c in self.cells if c is not None)
-
 
 @dataclass
 class _CacheRow:
@@ -220,10 +216,6 @@ class PathOutcome(Enum):
 class PostcardQueryResult:
     outcome: PathOutcome
     values: tuple = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.values)
 
 
 def _decode_chunk(store: PostcardStore, fkey: bytes, chunk_index: int) -> Optional[tuple]:

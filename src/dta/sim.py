@@ -227,7 +227,7 @@ class Collector:
             if self.fault_drop and self.fault_rng.random() < self.fault_drop:
                 self.verbs_faulted += 1  # verb packet lost before the NIC
                 continue
-            if not apply_verb(region, qp, psn, verb).accepted:
+            if not apply_verb(region, qp, psn, verb):
                 # models the controller re-establishing the connection, then
                 # the RDMA layer retrying the rejected packet
                 self.qp_desyncs += 1

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,12 @@ def test_validate_config(tmp_path, capsys):
     assert run_cli("validate", str(bad)) == 1
     assert "reporters" in capsys.readouterr().err
 
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    for argv in (["validate", str(not_an_object)], ["run", "--config", str(not_an_object)]):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+
 
 def test_validate_rejects_malformed_csv(tmp_path):
     path = tmp_path / "broken.csv"
@@ -135,3 +143,44 @@ def test_seed_env_default(tmp_path, monkeypatch, capsys):
     config.write_text(json.dumps({"workload": {"kind": "kw-flows", "reports": 5}}))
     assert run_cli("run", "--config", str(config)) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 77
+
+
+@pytest.mark.parametrize("topology", [
+    {"kw": {"buflen": 0}},
+    {"append": {"capacity": 4097}},
+    {"sketch": {"merge_op": "min"}},
+    {"translator": {"meter_rate": -1}},
+    {"backlog_capacity": 0},
+    {"pc": {"hops": 0}},
+], ids=["kw-buflen", "append-capacity", "sketch-merge-op", "meter-rate",
+        "backlog-capacity", "pc-hops"])
+def test_config_the_stores_refuse_fails_run_and_validate(tmp_path, capsys, topology):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"topology": topology,
+                                  "workload": {"kind": "kw-flows", "reports": 5}}))
+    for argv in (["run", "--config", str(config)], ["validate", str(config)]):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--offset", "--length"])
+def test_dump_rejects_negative_offset_and_length(tmp_path, capsys, flag):
+    dump = tmp_path / "memory.bin"
+    dump.write_bytes(bytes(64))
+    assert run_cli("dump", str(dump), flag, "-5") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_readme_run_config_example_drains_exactly_once(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"A `run` config is JSON.*?```json\n(.*?)```", readme, re.S)
+    config = tmp_path / "cfg.json"
+    config.write_text(block.group(1))
+    assert run_cli("run", "--config", str(config), "--seed", "7") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["drained"] is True
+    assert report["exactly_once_ok"] is True

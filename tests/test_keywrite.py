@@ -114,7 +114,6 @@ def test_plurality_tie_is_ambiguous():
                Write(store.slot_address(slot1), csum.to_bytes(4, "little") + b"bbbb"))
     res = kw_query(store, b"key", 2)
     assert res.outcome is QueryOutcome.AMBIGUOUS
-    assert dict(res.candidates) == {b"aaaa": 1, b"bbbb": 1}
     # the single-value policy also refuses: two distinct matching values
     res = kw_query(store, b"key", 2, policy=QueryPolicy.SINGLE_VALUE)
     assert res.outcome is QueryOutcome.AMBIGUOUS

@@ -1,10 +1,7 @@
-from dataclasses import FrozenInstanceError
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dta import memstore
 from dta.memstore import (
     PSN_MOD,
     FetchAdd,
@@ -12,7 +9,6 @@ from dta.memstore import (
     OutOfBoundsError,
     QpState,
     QueuePair,
-    VerbResult,
     Write,
     apply_verb,
     reset_qp,
@@ -25,20 +21,20 @@ def reference_apply_verb(region, qp, psn, verb):
     """apply_verb as written before its checks were inlined: validate, then sequence, then apply."""
     reference_validate(region, verb)
     if qp.state is QpState.DESYNCED:
-        return VerbResult(accepted=False)
+        return False
     if psn % PSN_MOD != qp.expected_psn:
         qp.state = QpState.DESYNCED
-        return VerbResult(accepted=False)
+        return False
     qp.expected_psn = (qp.expected_psn + 1) % PSN_MOD
 
     buf = region._buf
     if isinstance(verb, Write):
         buf[verb.address:verb.address + len(verb.payload)] = verb.payload
-        return VerbResult(accepted=True)
+        return True
     old = int.from_bytes(buf[verb.address:verb.address + 8], "little")
     new = (old + verb.addend) % _U64_MOD
     buf[verb.address:verb.address + 8] = new.to_bytes(8, "little")
-    return VerbResult(accepted=True, old_value=old)
+    return True
 
 
 def reference_validate(region, verb):
@@ -62,30 +58,29 @@ def fresh(size=64):
 
 def test_first_write_ack():
     region, qp = fresh()
-    res = apply_verb(region, qp, 0, Write(0, b"\xab"))
-    assert res.accepted
+    assert apply_verb(region, qp, 0, Write(0, b"\xab"))
     assert region.read(0, 1) == b"\xab"
     assert qp.expected_psn == 1
 
 
-def test_fetch_add_returns_old_value():
+def test_fetch_add_adds():
     region, qp = fresh()
-    assert apply_verb(region, qp, 0, FetchAdd(8, 5)).old_value == 0
-    assert apply_verb(region, qp, 1, FetchAdd(8, 5)).old_value == 5
+    assert apply_verb(region, qp, 0, FetchAdd(8, 5))
+    assert int.from_bytes(region.read(8, 8), "little") == 5
+    assert apply_verb(region, qp, 1, FetchAdd(8, 5))
     assert int.from_bytes(region.read(8, 8), "little") == 10
 
 
 def test_psn_gap_desyncs_and_rejects_until_reset():
     region, qp = fresh()
     apply_verb(region, qp, 0, Write(0, b"\x01"))
-    res = apply_verb(region, qp, 2, Write(1, b"\x02"))
-    assert not res.accepted
+    assert not apply_verb(region, qp, 2, Write(1, b"\x02"))
     assert qp.state is QpState.DESYNCED
     # same verb again: still rejected while desynced
-    assert not apply_verb(region, qp, 2, Write(1, b"\x02")).accepted
+    assert not apply_verb(region, qp, 2, Write(1, b"\x02"))
     assert region.read(1, 1) == b"\x00"
     reset_qp(qp, 2)
-    assert apply_verb(region, qp, 2, Write(1, b"\x02")).accepted
+    assert apply_verb(region, qp, 2, Write(1, b"\x02"))
     assert region.read(1, 1) == b"\x02"
 
 
@@ -99,17 +94,17 @@ def test_reset_on_open_qp_moves_expected():
 def test_reset_after_accepted_writes_accepts_new_sequence():
     region, qp = fresh()
     for psn in range(3):
-        assert apply_verb(region, qp, psn, Write(psn, b"\x11")).accepted
+        assert apply_verb(region, qp, psn, Write(psn, b"\x11"))
     reset_qp(qp, 100)
-    assert apply_verb(region, qp, 100, Write(3, b"\x22")).accepted
+    assert apply_verb(region, qp, 100, Write(3, b"\x22"))
 
 
 def test_psn_wraps_mod_2_24():
     region, qp = fresh()
     reset_qp(qp, (1 << 24) - 1)
-    assert apply_verb(region, qp, (1 << 24) - 1, Write(0, b"\x01")).accepted
+    assert apply_verb(region, qp, (1 << 24) - 1, Write(0, b"\x01"))
     assert qp.expected_psn == 0
-    assert apply_verb(region, qp, 0, Write(0, b"\x02")).accepted
+    assert apply_verb(region, qp, 0, Write(0, b"\x02"))
 
 
 @given(st.lists(st.binary(min_size=1, max_size=4), min_size=1, max_size=20),
@@ -122,8 +117,7 @@ def test_gap_applies_prefix_only(payloads, data):
     applied = 0
     for i, payload in enumerate(payloads):
         psn = i if i < gap_at else i + 1  # skip one psn from gap_at on
-        res = apply_verb(region, qp, psn, Write(i * 4, payload))
-        applied += res.accepted
+        applied += apply_verb(region, qp, psn, Write(i * 4, payload))
     assert applied == gap_at
 
 
@@ -196,10 +190,9 @@ _steps = st.lists(st.one_of(
 
 def _outcome(apply, region, qp, psn, verb):
     try:
-        result = apply(region, qp, psn, verb)
+        return apply(region, qp, psn, verb)
     except Exception as exc:  # the exception is part of the outcome compared
         return type(exc), str(exc)
-    return result.accepted, result.old_value
 
 
 @given(_steps)
@@ -218,9 +211,3 @@ def test_apply_verb_matches_the_reference(steps):
         (_, region, qp), (_, ref_region, ref_qp) = sides
         assert region.snapshot() == ref_region.snapshot()
         assert (qp.state, qp.expected_psn) == (ref_qp.state, ref_qp.expected_psn)
-
-
-def test_shared_results_are_frozen():
-    for shared in (memstore._ACCEPTED, memstore._REJECTED):
-        with pytest.raises(FrozenInstanceError):
-            shared.accepted = not shared.accepted
