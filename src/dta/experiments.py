@@ -29,7 +29,7 @@ from typing import Callable, Iterable, TextIO
 from . import analysis, sim
 from .append import AppendEngine, AppendList, PollCursor, append_poll
 from .counters import KiStore, ki_increment, ki_query
-from .hashing import ALGORITHM_ID, Domain, HashFamily, ValueCodec
+from .hashing import ALGORITHM_ID, Domain, HashFamily, value_codec
 from .keywrite import KwStore, QueryOutcome, QueryPolicy, kw_query, kw_write
 # apply_verb is not called here: bench/spans.py wraps this name in this module
 from .memstore import MemoryRegion, apply_verb  # noqa: F401
@@ -350,7 +350,7 @@ def pc_monte_carlo(
     """
     family = HashFamily(seed)
     universe = 2 ** value_bits
-    codec = ValueCodec(family, universe, cell_bits)
+    codec = value_codec(seed, universe, cell_bits)
     stride = _next_pow2((cell_bits + 7) // 8 * hops)
     store = PostcardStore(MemoryRegion(chunks * stride), chunks, hops, cell_bits,
                           codec, family=family)

@@ -10,9 +10,14 @@ between the members of the family comes from structured seeds
 
 from __future__ import annotations
 
+import operator
 import struct
+from array import array
+from bisect import bisect_left
 from enum import IntEnum
+from functools import lru_cache
 from hashlib import blake2b
+from itertools import islice, repeat
 
 ALGORITHM_ID = "blake2b-64"
 
@@ -125,10 +130,17 @@ class ValueCodec:
     """Bidirectional encoding of a finite value universe into b-bit cells.
 
     The universe is the integer range [0, universe_size); BLANK is a reserved
-    symbol outside it.  Decoding uses a pre-populated table of all
-    (encoding, value) pairs.  Distinct values may collide in the encoding
-    (birthday bound ~ |V|^2 / 2^(b+1)); collisions keep the first-registered
-    value and are counted in ``collisions``.
+    symbol outside it.  Decoding looks a code up in a table of every value's
+    encoding, built once here: one sorted ``array('Q')`` of keys
+    ``(code << vbits) | value`` with ``vbits = (universe_size - 1).bit_length()``,
+    found with ``bisect`` (a sorted list of the same keys when they need more
+    than 64 bits).  Distinct values may collide in the encoding (birthday
+    bound ~ |V|^2 / 2^(b+1)); a colliding code decodes to BLANK if BLANK has
+    it, else to the least value with it, and ``collisions`` counts
+    ``universe_size + 1`` minus the number of distinct codes.
+
+    The table depends only on ``(family.seed_base, universe_size, bits)``;
+    ``value_codec`` shares one codec per such configuration in a process.
     """
 
     def __init__(self, family: HashFamily, universe_size: int, bits: int):
@@ -138,21 +150,28 @@ class ValueCodec:
         self.family = family
         self.universe_size = universe_size
         self.bits = bits
-        # BLANK is registered first so no in-universe collision can displace it.
         self._blank_code = self._raw_encode(BLANK)
-        table: dict[int, object] = {self._blank_code: BLANK}
+        vbits = self._vbits = (universe_size - 1).bit_length()
+        self._vmask = (1 << vbits) - 1
         # Each value's hash input is the tag b"\x01" then the value, so every
         # digest continues one keyed state that has already absorbed the tag.
         prefix = family._state(Domain.PC_VALUE, 0).copy()
         prefix.update(b"\x01")
         fork, pack, unpack = prefix.copy, _U64.pack, _DIGEST64.unpack
-        register, shift = table.setdefault, 64 - bits
+        shift = 64 - bits
+        keys = []
+        add = keys.append
         for v in range(universe_size):
             h = fork()
             h.update(pack(v))
-            register(unpack(h.digest())[0] >> shift, v)
-        self._table = table
-        self.collisions = universe_size + 1 - len(table)
+            add(unpack(h.digest())[0] >> shift << vbits | v)
+        keys.sort()
+        self._keys = array("Q", keys) if bits + vbits <= 64 else keys
+        codes = array("Q", map(operator.rshift, keys, repeat(vbits)))
+        repeats = sum(map(operator.eq, codes, islice(codes, 1, None)))
+        i = bisect_left(codes, self._blank_code)
+        blank_shared = i < len(codes) and codes[i] == self._blank_code
+        self.collisions = repeats + blank_shared
 
     def _raw_encode(self, v) -> int:
         if v is BLANK:
@@ -169,4 +188,22 @@ class ValueCodec:
 
     def decode(self, code: int):
         """Value whose encoding is ``code``, or None if no value maps there."""
-        return self._table.get(code)
+        if code == self._blank_code:  # BLANK wins its code over any value
+            return BLANK
+        keys, vbits = self._keys, self._vbits
+        i = bisect_left(keys, code << vbits)  # the least value with this code
+        if i < len(keys) and keys[i] >> vbits == code:
+            return keys[i] & self._vmask
+        return None
+
+
+@lru_cache(maxsize=4)
+def value_codec(seed_base: int, universe_size: int, bits: int) -> ValueCodec:
+    """The codec of ``HashFamily(seed_base)``, built once per configuration.
+
+    Keyed by the plain seed because a ``HashFamily`` is a new object per
+    caller.  The cache is bounded because each table lives as long as the
+    process (about 2 MB at 2^18 values).  Callers share the returned codec
+    and must not change it.
+    """
+    return ValueCodec(HashFamily(seed_base), universe_size, bits)

@@ -218,13 +218,13 @@ class PostcardQueryResult:
     values: tuple = ()
 
 
-def _decode_chunk(store: PostcardStore, fkey: bytes, chunk_index: int) -> Optional[tuple]:
-    """Value prefix of a chunk if it is valid for this flow, else None."""
+def _decode_chunk(store: PostcardStore, checksums: list, chunk_index: int) -> Optional[tuple]:
+    """Value prefix of a chunk if it is valid under the flow's hop ``checksums``, else None."""
     raw = store.region.read(store.chunk_address(chunk_index), store.chunk_payload_len)
     syms = []
-    for i in range(store.hops):
+    for i, checksum in enumerate(checksums):
         word = int.from_bytes(raw[i * store.cell_len:(i + 1) * store.cell_len], "little")
-        sym = store.codec.decode(word ^ store.family.hop_checksum(fkey, i, store.cell_bits))
+        sym = store.codec.decode(word ^ checksum)
         if sym is None:
             return None
         syms.append(sym)
@@ -244,9 +244,10 @@ def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQ
     if not 1 <= n_redundancy <= 4:
         raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
     fkey = _flow_key(flow_id)
+    checksums = [store.family.hop_checksum(fkey, i, store.cell_bits) for i in range(store.hops)]
     paths = set()
     for j in range(n_redundancy):
-        decoded = _decode_chunk(store, fkey, store.family.chunk_hash(j, fkey, store.chunks))
+        decoded = _decode_chunk(store, checksums, store.family.chunk_hash(j, fkey, store.chunks))
         if decoded is not None:
             paths.add(decoded)
     if not paths:

@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import append as append_mod
 from . import counters, flowctl, keywrite, postcarding, wire
-from .hashing import HashFamily, ValueCodec
+from .hashing import HashFamily, value_codec
 from .memstore import PSN_MOD, MemoryRegion, QueuePair, apply_verb, reset_qp
 
 
@@ -255,7 +255,7 @@ class Translator:
             self.region, t.kw.buflen, t.kw.checksum_bits, t.kw.value_len,
             family=self.family, base=layout["kw"],
         )
-        codec = ValueCodec(self.family, 2 ** t.pc.value_bits, t.pc.cell_bits)
+        codec = value_codec(t.hash_seed, 2 ** t.pc.value_bits, t.pc.cell_bits)
         self.pc_store = postcarding.PostcardStore(
             self.region, t.pc.chunks, t.pc.hops, t.pc.cell_bits, codec,
             family=self.family, base=layout["pc"],

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from dta import analysis
+from dta import analysis, experiments
 from dta.experiments import (
     SuiteResult,
     UnknownSuite,
@@ -16,6 +16,7 @@ from dta.experiments import (
     suite_names,
     write_csv,
 )
+from dta.hashing import HashFamily, ValueCodec, value_codec
 from dta.keywrite import QueryPolicy
 
 EXPECTED_SUITES = {
@@ -148,6 +149,18 @@ def test_pc_monte_carlo_inside_bracket_at_full_universe():
     assert bound.lower - 3 * sigma <= stats.fail_rate <= bound.upper + 3 * sigma
     assert stats.fail_rate <= 0.033 + 3 * sigma
     assert stats.wrong_rate == 0.0
+
+
+def test_pc_monte_carlo_shares_one_codec_and_matches_a_fresh_one(monkeypatch):
+    args = (1024, 5, 8, 10, 2, 1.0, 500, 11)
+    value_codec.cache_clear()
+    first = pc_monte_carlo(*args)  # builds the codec
+    again = pc_monte_carlo(*args)
+    assert value_codec.cache_info().hits == 1
+    assert first == again
+    monkeypatch.setattr(experiments, "value_codec",
+                        lambda seed, size, bits: ValueCodec(HashFamily(seed), size, bits))
+    assert pc_monte_carlo(*args) == first
 
 
 def test_config_hash_tracks_params():

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dta.hashing import BLANK, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
+from dta.hashing import (
+    BLANK,
+    Domain,
+    HashFamily,
+    ValueCodec,
+    ValueOutsideUniverse,
+    value_codec,
+)
 
 FAM = HashFamily(seed_base=0x5EED)
 
@@ -130,9 +137,9 @@ def test_bit_width_validation(bad_bits):
 class TestValueCodec:
     def test_single_value_universe_has_two_entries(self):
         codec = ValueCodec(FAM, 1, 32)
-        assert len(codec._table) == 2  # the value plus BLANK
         assert codec.decode(codec.encode(0)) == 0
         assert codec.decode(codec.encode(BLANK)) is BLANK
+        assert codec.collisions == 0
 
     def test_roundtrip_collision_free_universe(self):
         """4096-value universe at b=32: inverse table recovers every value."""
@@ -164,7 +171,8 @@ class TestValueCodec:
     def test_table_matches_value_by_value_build(self, universe_size, bits):
         codec = ValueCodec(FAM, universe_size, bits)
         table, collisions = reference_codec_table(FAM, universe_size, bits)
-        assert codec._table == table
+        decoded = {c: codec.decode(c) for c in range(1 << bits) if codec.decode(c) is not None}
+        assert decoded == table
         assert codec.collisions == collisions
         assert collisions > universe_size // 4
         blank_code = codec.encode(BLANK)
@@ -177,10 +185,29 @@ class TestValueCodec:
         if bits == 4:
             assert any(codec.encode(v) == blank_code for v in range(universe_size))
 
+    @pytest.mark.parametrize("universe_size,bits", [(16, 64), (1 << 10, 60)])
+    def test_keys_wider_than_64_bits_roundtrip(self, universe_size, bits):
+        codec = ValueCodec(FAM, universe_size, bits)
+        table, collisions = reference_codec_table(FAM, universe_size, bits)
+        assert {c: codec.decode(c) for c in table} == table
+        assert codec.collisions == collisions == 0
+        assert codec.decode(codec.encode(BLANK) ^ 1) is None
+
     def test_unknown_code_decodes_to_none(self):
         codec = ValueCodec(FAM, 4, 32)
         misses = sum(codec.decode(c) is None for c in range(1000))
         assert misses >= 995  # only 5 codes are occupied
+
+
+def test_value_codec_is_shared_per_configuration():
+    shared = value_codec(0x5EED, 1 << 12, 12)
+    assert value_codec(0x5EED, 1 << 12, 12) is shared
+    assert value_codec(0xD7A, 1 << 12, 12) is not shared
+    assert value_codec(0x5EED, 1 << 11, 12) is not shared
+    fresh = ValueCodec(HashFamily(0x5EED), 1 << 12, 12)
+    assert [shared.decode(c) for c in range(1 << 12)] == [fresh.decode(c) for c in range(1 << 12)]
+    assert [shared.encode(v) for v in range(1 << 12)] == [fresh.encode(v) for v in range(1 << 12)]
+    assert shared.collisions == fresh.collisions
 
 
 def test_domains_are_distinct():
