@@ -16,14 +16,19 @@ batches.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .hashing import HashFamily
+from .hashing import Domain, HashFamily
 from .memstore import FetchAdd, MemoryRegion, Write
 
 COUNTER_LEN = 8
+_U64LE = struct.Struct("<Q")
+# Key-Increment hashes its slots with the Key-Write slot member; a plain int
+# because an enum member costs a lookup per call
+_KI_SLOT = int(Domain.KW_SLOT)
 _U64_MOD = 1 << 64
 
 
@@ -39,41 +44,38 @@ class KiStore:
     def __post_init__(self):
         if self.buflen < 1:
             raise ValueError(f"buflen must be >= 1, got {self.buflen}")
-        if self.base % 8 != 0:
-            raise ValueError(f"base must be 8-octet aligned, got {self.base}")
+        if self.base < 0 or self.base % 8 != 0:
+            raise ValueError(f"base must be >= 0 and 8-octet aligned, got {self.base}")
         if self.base + self.buflen * COUNTER_LEN > self.region.size:
             raise ValueError(
                 f"{self.buflen} counters at base {self.base} exceed region "
                 f"of {self.region.size}B"
             )
 
-    def slot_address(self, slot: int) -> int:
-        return self.base + slot * COUNTER_LEN
-
-    def read_slot(self, slot: int) -> int:
-        return int.from_bytes(self.region.read(self.slot_address(slot), COUNTER_LEN), "little")
-
 
 def ki_increment(store: KiStore, key: bytes, delta: int, n_redundancy: int) -> list[FetchAdd]:
-    """Expand one counter report into N fetch-add verbs."""
+    """Expand one counter report into N fetch-add verbs, copy n at ``raw64(KW_SLOT, n, key)``."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not 1 <= n_redundancy <= 4:
         raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
-    return [
-        FetchAdd(store.slot_address(store.family.slot_hash(n, key, store.buflen)), delta)
-        for n in range(n_redundancy)
-    ]
+    family, base, buflen = store.family, store.base, store.buflen
+    return [FetchAdd(base + family.raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN, delta)
+            for n in range(n_redundancy)]
 
 
 def ki_query(store: KiStore, key: bytes, n_redundancy: int) -> int:
-    """Minimum over the key's N counter slots; never below the true total."""
+    """Minimum over the key's N counter slots; never below the true total.
+
+    The store checked at construction that every counter lies inside the
+    region, so each is read straight from the region's memory.
+    """
     if not 1 <= n_redundancy <= 4:
         raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
-    return min(
-        store.read_slot(store.family.slot_hash(n, key, store.buflen))
-        for n in range(n_redundancy)
-    )
+    family, base, buflen, buf = store.family, store.base, store.buflen, store.region._buf
+    read = _U64LE.unpack_from
+    return min(read(buf, base + family.raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN)[0]
+               for n in range(n_redundancy))
 
 
 class MergeOp(Enum):

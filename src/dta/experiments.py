@@ -187,9 +187,18 @@ def stream_key(seed: int, index: int) -> bytes:
     return struct.pack("<QQ", seed, index)
 
 
+_stream_states: dict[int, hashlib.blake2b] = {}  # value_len -> keyed state before any data
+
+
 def stream_value(key: bytes, value_len: int) -> bytes:
     """Deterministic per-key value, recomputable at query time."""
-    return hashlib.blake2b(key, digest_size=value_len, key=b"kw-stream-value").digest()
+    state = _stream_states.get(value_len)
+    if state is None:
+        state = _stream_states[value_len] = hashlib.blake2b(
+            digest_size=value_len, key=b"kw-stream-value")
+    h = state.copy()
+    h.update(key)
+    return h.digest()
 
 
 def _kw_store(buflen: int, checksum_bits: int, value_len: int, seed: int) -> KwStore:

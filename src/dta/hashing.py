@@ -84,21 +84,12 @@ class HashFamily:
         return state
 
     def raw64(self, domain: int, index: int, data: bytes) -> int:
-        h = self._state(domain, index).copy()
+        try:
+            h = self._states[domain, index].copy()
+        except KeyError:
+            h = self._state(domain, index).copy()
         h.update(data)
         return _DIGEST64.unpack(h.digest())[0]
-
-    def slot_hash(self, n: int, key: bytes, buflen: int) -> int:
-        """Slot index of redundancy copy ``n`` of ``key`` in a ``buflen`` store.
-
-        Each copy index selects an independent member of the family, so the
-        copies of one key land on independent slots.
-        """
-        if buflen < 1:
-            raise ValueError(f"buflen must be >= 1, got {buflen}")
-        if n < 0:
-            raise ValueError(f"redundancy index must be >= 0, got {n}")
-        return self.raw64(Domain.KW_SLOT, n, key) % buflen
 
     def key_checksum(self, key: bytes, bits: int) -> int:
         """``bits``-wide checksum of a telemetry key (verifies query hits)."""

@@ -13,8 +13,11 @@ policies:
   matches.  This is the policy the closed-form failure model in
   ``analysis`` describes, so the Monte-Carlo suites run under it.
 
-Writes are produced by the translator (single writer); queries read region
-snapshots and never mutate.
+Writes are produced by the translator (single writer); queries never mutate.
+A store's geometry (checksum and slot widths) is fixed when it is built,
+which also checks that every slot lies inside the region, so a query reads
+its slots straight from the region's memory and compares checksums as
+octets.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .hashing import HashFamily
+from .hashing import Domain, HashFamily
 from .memstore import MemoryRegion, Write
 
 MAX_REDUNDANCY = 4
+_KW_SLOT = int(Domain.KW_SLOT)  # a plain int: an enum member costs a lookup per call
 
 
 class BadValueLength(ValueError):
@@ -50,12 +54,17 @@ class KwQueryResult:
     value: Optional[bytes] = None
 
 
+_EMPTY = KwQueryResult(QueryOutcome.EMPTY)
+_AMBIGUOUS = KwQueryResult(QueryOutcome.AMBIGUOUS)
+
+
 @dataclass
 class KwStore:
     """Geometry and hash configuration of one key-value region.
 
     One store holds one fixed value width; telemetry with a different payload
-    size belongs in a separate store.
+    size belongs in a separate store.  ``csum_len`` and ``slot_len`` are fixed
+    here, together with the check that every slot lies inside the region.
     """
 
     region: MemoryRegion
@@ -72,45 +81,31 @@ class KwStore:
             raise ValueError(f"checksum_bits must be in [1, 64], got {self.checksum_bits}")
         if self.value_len < 1:
             raise ValueError(f"value_len must be >= 1, got {self.value_len}")
-        if self.base + self.buflen * self.slot_len > self.region.size:
+        self.csum_len = (self.checksum_bits + 7) // 8
+        self.slot_len = self.csum_len + self.value_len
+        if self.base < 0 or self.base + self.buflen * self.slot_len > self.region.size:
             raise ValueError(
                 f"{self.buflen} slots of {self.slot_len}B at base {self.base} "
                 f"exceed region of {self.region.size}B"
             )
 
-    @property
-    def csum_len(self) -> int:
-        return (self.checksum_bits + 7) // 8
-
-    @property
-    def slot_len(self) -> int:
-        return self.csum_len + self.value_len
-
-    def slot_address(self, slot: int) -> int:
-        return self.base + slot * self.slot_len
-
-    def read_slot(self, slot: int) -> tuple[int, bytes]:
-        raw = self.region.read(self.slot_address(slot), self.slot_len)
-        csum = int.from_bytes(raw[: self.csum_len], "little")
-        return csum, raw[self.csum_len:]
-
 
 def kw_write(store: KwStore, key: bytes, data: bytes, n_redundancy: int) -> list[Write]:
     """Expand one report into the N redundant slot writes.
 
-    Copy ``n`` targets slot_hash(n, key) and carries checksum||data, so every
-    copy is byte-identical and any surviving one can answer a query.
+    Copy ``n`` targets slot ``raw64(KW_SLOT, n, key) % buflen`` and carries
+    checksum||data, so every copy is byte-identical and any surviving one can
+    answer a query.
     """
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(data) != store.value_len:
         raise BadValueLength(f"expected {store.value_len}B value, got {len(data)}B")
-    csum = store.family.key_checksum(key, store.checksum_bits)
-    payload = csum.to_bytes(store.csum_len, "little") + data
-    return [
-        Write(store.slot_address(store.family.slot_hash(n, key, store.buflen)), payload)
-        for n in range(n_redundancy)
-    ]
+    family, base, buflen, slot_len = store.family, store.base, store.buflen, store.slot_len
+    payload = family.key_checksum(key, store.checksum_bits).to_bytes(store.csum_len, "little")
+    payload += data
+    return [Write(base + family.raw64(_KW_SLOT, n, key) % buflen * slot_len, payload)
+            for n in range(n_redundancy)]
 
 
 def kw_query(
@@ -128,23 +123,27 @@ def kw_query(
     """
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
-    want = store.family.key_checksum(key, store.checksum_bits)
-    counts: dict[bytes, int] = {}
+    family, base, buflen, slot_len = store.family, store.base, store.buflen, store.slot_len
+    csum_len, buf = store.csum_len, store.region._buf
+    want = family.key_checksum(key, store.checksum_bits).to_bytes(csum_len, "little")
+    values = []  # the value of every slot whose checksum matches, as a bytearray
     for n in range(n_redundancy):
-        csum, value = store.read_slot(store.family.slot_hash(n, key, store.buflen))
-        if csum == want:
-            counts[value] = counts.get(value, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if not ranked:
-        return KwQueryResult(QueryOutcome.EMPTY)
+        at = base + family.raw64(_KW_SLOT, n, key) % buflen * slot_len
+        if buf.startswith(want, at):
+            values.append(buf[at + csum_len:at + slot_len])
+    if not values:
+        return _EMPTY
 
     if policy is QueryPolicy.SINGLE_VALUE:
-        if len(ranked) == 1:
-            return KwQueryResult(QueryOutcome.VALUE, ranked[0][0])
-        return KwQueryResult(QueryOutcome.AMBIGUOUS)
+        if values.count(values[0]) == len(values):
+            return KwQueryResult(QueryOutcome.VALUE, bytes(values[0]))
+        return _AMBIGUOUS
 
-    top_value, top_count = ranked[0]
-    tied = len(ranked) > 1 and ranked[1][1] == top_count
-    if tied or top_count < threshold:
-        return KwQueryResult(QueryOutcome.AMBIGUOUS)
-    return KwQueryResult(QueryOutcome.VALUE, top_value)
+    counts: dict[bytes, int] = {}
+    for value in map(bytes, values):
+        counts[value] = counts.get(value, 0) + 1
+    top_count = max(counts.values())
+    top = [value for value, count in counts.items() if count == top_count]
+    if len(top) > 1 or top_count < threshold:
+        return _AMBIGUOUS
+    return KwQueryResult(QueryOutcome.VALUE, top[0])

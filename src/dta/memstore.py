@@ -62,7 +62,11 @@ Verb = Union[Write, FetchAdd]
 
 
 class MemoryRegion:
-    """Contiguous byte-addressable registered memory."""
+    """Contiguous byte-addressable registered memory.
+
+    Only verbs write ``_buf``.  A store that checked at construction that its
+    whole span lies inside the region may read ``_buf`` directly.
+    """
 
     def __init__(self, size: int):
         if size < 0:

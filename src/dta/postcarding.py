@@ -36,7 +36,11 @@ def _next_pow2(n: int) -> int:
 
 @dataclass
 class PostcardStore:
-    """Geometry and hash configuration of one chunked postcard region."""
+    """Geometry and hash configuration of one chunked postcard region.
+
+    ``cell_len``, ``chunk_payload_len`` and ``chunk_stride`` are fixed here.
+    RDMA payloads are padded to a power of two, so chunk addresses are shifts.
+    """
 
     region: MemoryRegion
     chunks: int
@@ -53,24 +57,14 @@ class PostcardStore:
             raise ValueError(f"hops must be >= 1, got {self.hops}")
         if self.codec.bits != self.cell_bits:
             raise ValueError("codec bit width must match cell_bits")
+        self.cell_len = (self.cell_bits + 7) // 8
+        self.chunk_payload_len = self.hops * self.cell_len
+        self.chunk_stride = _next_pow2(self.chunk_payload_len)
         if self.base + self.chunks * self.chunk_stride > self.region.size:
             raise ValueError(
                 f"{self.chunks} chunks of {self.chunk_stride}B at base {self.base} "
                 f"exceed region of {self.region.size}B"
             )
-
-    @property
-    def cell_len(self) -> int:
-        return (self.cell_bits + 7) // 8
-
-    @property
-    def chunk_payload_len(self) -> int:
-        return self.hops * self.cell_len
-
-    @property
-    def chunk_stride(self) -> int:
-        # RDMA payloads padded to a power of two so chunk addresses are shifts
-        return _next_pow2(self.chunk_payload_len)
 
     def chunk_address(self, chunk: int) -> int:
         return self.base + chunk * self.chunk_stride

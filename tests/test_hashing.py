@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dta.counters import KiStore, ki_increment
 from dta.hashing import (
     BLANK,
     Domain,
@@ -13,6 +14,8 @@ from dta.hashing import (
     ValueOutsideUniverse,
     value_codec,
 )
+from dta.keywrite import KwStore, kw_write
+from dta.memstore import MemoryRegion
 
 FAM = HashFamily(seed_base=0x5EED)
 
@@ -58,16 +61,31 @@ def test_raw64_matches_reference_formula(calls):
             seed, domain, index, data)
 
 
-@given(st.binary(max_size=64), st.integers(0, 3), st.integers(1, 10000))
-def test_slot_hash_deterministic_and_in_range(key, n, buflen):
-    a = FAM.slot_hash(n, key, buflen)
-    assert a == FAM.slot_hash(n, key, buflen)
-    assert 0 <= a < buflen
+def slot(n: int, key: bytes, buflen: int) -> int:
+    """Slot of redundancy copy ``n`` of ``key``: member (KW_SLOT, n) reduced to ``buflen``."""
+    return FAM.raw64(Domain.KW_SLOT, n, key) % buflen
+
+
+def store_slots(key: bytes, n: int, buflen: int, base_slots: int = 0) -> tuple[list, list]:
+    """Slots that Key-Write and Key-Increment address for ``n`` copies of ``key``."""
+    base = 8 * base_slots  # both stores use 8-octet slots here
+    kw = KwStore(MemoryRegion(base + 8 * buflen), buflen, 32, 4, family=FAM, base=base)
+    ki = KiStore(MemoryRegion(base + 8 * buflen), buflen, family=FAM, base=base)
+    return ([(v.address - base) // 8 for v in kw_write(kw, key, bytes(4), n)],
+            [(v.address - base) // 8 for v in ki_increment(ki, key, 0, n)])
+
+
+@given(st.binary(max_size=64), st.integers(1, 4), st.integers(1, 10000), st.integers(0, 3))
+def test_slot_hash_deterministic_and_in_range(key, n, buflen, base_slots):
+    kw_slots, ki_slots = store_slots(key, n, buflen, base_slots)
+    assert kw_slots == ki_slots == [slot(i, key, buflen) for i in range(n)]
+    assert store_slots(key, n, buflen, base_slots) == (kw_slots, ki_slots)
+    assert all(0 <= a < buflen for a in kw_slots)
 
 
 def test_slot_hash_buflen_one_always_zero():
     for i in range(100):
-        assert FAM.slot_hash(i % 4, str(i).encode(), 1) == 0
+        assert store_slots(str(i).encode(), i % 4 + 1, 1, i % 3) == ([0] * (i % 4 + 1),) * 2
 
 
 def test_same_inputs_same_checksum_across_instances():
@@ -91,7 +109,7 @@ def test_slot_histogram_uniform():
     samples = 100000
     counts = [0] * buckets
     for i in range(samples):
-        counts[FAM.slot_hash(0, i.to_bytes(8, "big"), buckets)] += 1
+        counts[slot(0, i.to_bytes(8, "big"), buckets)] += 1
     expected = samples / buckets
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     dof = buckets - 1
@@ -103,8 +121,7 @@ def test_distinct_seeds_disagree():
     buflen = 256
     samples = 20000
     agree = sum(
-        FAM.slot_hash(0, i.to_bytes(8, "big"), buflen)
-        == FAM.slot_hash(1, i.to_bytes(8, "big"), buflen)
+        slot(0, i.to_bytes(8, "big"), buflen) == slot(1, i.to_bytes(8, "big"), buflen)
         for i in range(samples)
     )
     expected = samples / buflen
