@@ -10,7 +10,10 @@ CHANGE_DIR's ``BENCHMARK.json`` lists, the record gives each side's runs,
 median and quartiles, the ratio of the medians, the number of pairs the
 change won (ties count for neither side) and ``beyond_bound``: whether the
 change's median moved the worse way by more than the metric's ``bound``.
-Each metric beyond its bound is also named on stderr.  The JSON goes to stdout.
+Each metric beyond its bound is also named on stderr.  A run whose output
+check fails still exits 0 and says why on stderr; each workload's distinct
+``CHECK FAILED`` lines, prefixed with the side, go under ``check_failures``
+and to stderr.  The JSON goes to stdout.
 """
 
 from __future__ import annotations
@@ -27,11 +30,15 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run of the benchmark in ``checkout``: its last stdout line, parsed."""
+    """One ``--trace 0`` run of the benchmark in ``checkout``: its last stdout line, parsed,
+    with the ``CHECK FAILED`` lines of its stderr under ``check_failures``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["check_failures"] = [line for line in done.stderr.splitlines()
+                                if line.startswith("CHECK FAILED")]
+    return result
 
 
 def summary(values: list[float]) -> dict:
@@ -74,6 +81,10 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list[int], 
             runs[side].append(run_once(dirs[side], workload, seed, seconds))
             print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side} done", file=sys.stderr)
     every = runs["parent"] + runs["change"]
+    failures = list(dict.fromkeys(f"{side}: {line}" for side in SIDES
+                                  for r in runs[side] for line in r["check_failures"]))
+    for line in failures:
+        print(f"{workload} {line}", file=sys.stderr)
     compared = compare(runs, metrics)
     for metric in metrics:
         entry = compared[metric["name"]]
@@ -85,6 +96,7 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds: list[int], 
         "seeds": used,
         "pairs": pairs,
         "runs_correct": all(r["correct"] for r in every),
+        "check_failures": failures,
         "metrics": compared,
         "attempted_both_sides": sum(r["attempted"] for r in every),
         "failed_both_sides": sum(r["failed"] for r in every),

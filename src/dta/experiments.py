@@ -334,11 +334,14 @@ def _suite_kw_longevity(params: dict, seed: int) -> list[dict]:
 # Postcarding
 
 
+_WORKLOAD = int(Domain.WORKLOAD)  # a plain int: an enum member costs a lookup per call
+
+
 def pc_stream_values(family: HashFamily, flow_id: int, hops: int,
                      universe: int) -> list[int]:
     """Deterministic per-flow hop values, recomputable at query time."""
-    data = flow_id.to_bytes(8, "big")
-    return [family.raw64(Domain.WORKLOAD, hop, data) % universe for hop in range(hops)]
+    data, raw64 = flow_id.to_bytes(8, "big"), family.raw64
+    return [raw64(_WORKLOAD, hop, data) % universe for hop in range(hops)]
 
 
 def pc_monte_carlo(

@@ -27,15 +27,18 @@ _DIGEST64 = struct.Struct(">Q")  # a digest read as a big-endian integer
 
 
 class Domain(IntEnum):
-    """Namespaces separating the independent members of the hash family."""
+    """Namespaces separating the independent members of the hash family.
+
+    Key-Increment addresses its counters with ``KW_SLOT`` on purpose: its
+    seeded memory images, pinned by the tests, depend on it.  A value is
+    never renumbered or reused, so that no hash moves.
+    """
 
     KW_SLOT = 1
     KW_CSUM = 2
-    KW_VALUE = 3
     PC_CHUNK = 4
     PC_HOP_CSUM = 5
     PC_VALUE = 6
-    KI_SLOT = 7
     CACHE_SLOT = 8
     WORKLOAD = 9
 
@@ -96,17 +99,6 @@ class HashFamily:
         _check_bits(bits)
         return self.raw64(Domain.KW_CSUM, 0, key) >> (64 - bits)
 
-    def chunk_hash(self, n: int, flow_key: bytes, chunks: int) -> int:
-        """Chunk index of redundancy copy ``n`` of a flow's postcard block."""
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        return self.raw64(Domain.PC_CHUNK, n, flow_key) % chunks
-
-    def hop_checksum(self, flow_key: bytes, hop: int, bits: int) -> int:
-        """Per-hop flow checksum XORed over stored postcard cells."""
-        _check_bits(bits)
-        return self.raw64(Domain.PC_HOP_CSUM, hop, flow_key) >> (64 - bits)
-
     def cache_slot(self, flow_key: bytes, slots: int) -> int:
         """Translator cache row for a flow's pending postcards."""
         return self.raw64(Domain.CACHE_SLOT, 0, flow_key) % slots
@@ -121,16 +113,17 @@ class ValueCodec:
     """Bidirectional encoding of a finite value universe into b-bit cells.
 
     The universe is the integer range [0, universe_size); BLANK is a reserved
-    symbol outside it.  Decoding looks a code up in a table of every value's
-    encoding, built once here: one sorted ``array('Q')`` of keys
-    ``(code << vbits) | value`` with ``vbits = (universe_size - 1).bit_length()``,
-    found with ``bisect`` (a sorted list of the same keys when they need more
-    than 64 bits).  Distinct values may collide in the encoding (birthday
-    bound ~ |V|^2 / 2^(b+1)); a colliding code decodes to BLANK if BLANK has
-    it, else to the least value with it, and ``collisions`` counts
+    symbol outside it.  Every value's code is hashed once, here, into two
+    tables: ``_codes``, an ``array('Q')`` indexed by value, which ``encode``
+    reads; and one sorted ``array('Q')`` of keys ``(code << vbits) | value``
+    with ``vbits = (universe_size - 1).bit_length()``, which ``decode``
+    searches with ``bisect`` (a sorted list of the same keys when they need
+    more than 64 bits).  Distinct values may collide in the encoding
+    (birthday bound ~ |V|^2 / 2^(b+1)); a colliding code decodes to BLANK if
+    BLANK has it, else to the least value with it, and ``collisions`` counts
     ``universe_size + 1`` minus the number of distinct codes.
 
-    The table depends only on ``(family.seed_base, universe_size, bits)``;
+    The tables depend only on ``(family.seed_base, universe_size, bits)``;
     ``value_codec`` shares one codec per such configuration in a process.
     """
 
@@ -141,15 +134,15 @@ class ValueCodec:
         self.family = family
         self.universe_size = universe_size
         self.bits = bits
-        self._blank_code = self._raw_encode(BLANK)
+        shift = 64 - bits
+        self._blank_code = family.raw64(Domain.PC_VALUE, 0, b"\x00") >> shift
         vbits = self._vbits = (universe_size - 1).bit_length()
-        self._vmask = (1 << vbits) - 1
+        vmask = self._vmask = (1 << vbits) - 1
         # Each value's hash input is the tag b"\x01" then the value, so every
         # digest continues one keyed state that has already absorbed the tag.
         prefix = family._state(Domain.PC_VALUE, 0).copy()
         prefix.update(b"\x01")
         fork, pack, unpack = prefix.copy, _U64.pack, _DIGEST64.unpack
-        shift = 64 - bits
         keys = []
         add = keys.append
         for v in range(universe_size):
@@ -157,25 +150,25 @@ class ValueCodec:
             h.update(pack(v))
             add(unpack(h.digest())[0] >> shift << vbits | v)
         keys.sort()
-        self._keys = array("Q", keys) if bits + vbits <= 64 else keys
-        codes = array("Q", map(operator.rshift, keys, repeat(vbits)))
+        # Rebinding drops the list, so the tables below never coexist with it.
+        keys = self._keys = array("Q", keys) if bits + vbits <= 64 else keys
+        codes = array("Q", map(operator.rshift, keys, repeat(vbits)))  # sorted
         repeats = sum(map(operator.eq, codes, islice(codes, 1, None)))
         i = bisect_left(codes, self._blank_code)
         blank_shared = i < len(codes) and codes[i] == self._blank_code
         self.collisions = repeats + blank_shared
-
-    def _raw_encode(self, v) -> int:
-        if v is BLANK:
-            data = b"\x00"
-        else:
-            data = b"\x01" + _U64.pack(v)
-        return self.family.raw64(Domain.PC_VALUE, 0, data) >> (64 - self.bits)
+        del codes
+        by_value = self._codes = array("Q", bytes(8 * universe_size))
+        for key in keys:
+            by_value[key & vmask] = key >> vbits
 
     def encode(self, v) -> int:
         """b-bit encoding of ``v`` (a universe member or BLANK)."""
-        if v is not BLANK and not (isinstance(v, int) and 0 <= v < self.universe_size):
+        if v is BLANK:
+            return self._blank_code
+        if not (isinstance(v, int) and 0 <= v < self.universe_size):
             raise ValueOutsideUniverse(f"{v!r} not in [0, {self.universe_size}) or BLANK")
-        return self._raw_encode(v)
+        return self._codes[v]
 
     def decode(self, code: int):
         """Value whose encoding is ``code``, or None if no value maps there."""

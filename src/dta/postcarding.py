@@ -4,14 +4,19 @@ Instead of one keyed entry per hop, all of a flow's hop values live in one
 B-cell chunk at a hash-derived chunk index, so a full path costs one
 contiguous write and one random read.  The translator caches postcards per
 flow until the path completes (or the cache row is stolen by another flow,
-which flushes the partial chunk early).  Cell i of flow x stores
-hop_checksum(x, i) XOR encode(value); missing hops store the BLANK symbol so
-every written chunk covers all B cells.
+which flushes the partial chunk early).  Cell i of flow x stores x's hop-i
+checksum XOR the value's code; missing hops store the BLANK symbol so every
+written chunk covers all B cells.
 
 A chunk read back for flow x is valid when its cells decode to some number
 of leading values followed only by BLANKs; with redundancy, the valid chunks
 must also agree.  Cells added to pad the chunk to a power-of-two size are
 written as zero and ignored by the validity rule.
+
+A chunk is packed, and read back, as one little-endian integer whose cell i
+sits at bit ``i * cell_width``.  A store's geometry is fixed when it is
+built, which also checks that every chunk lies inside the region, so a
+query reads its chunks straight from the region's memory.
 """
 
 from __future__ import annotations
@@ -20,10 +25,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .hashing import BLANK, HashFamily, ValueCodec, ValueOutsideUniverse
+from .hashing import BLANK, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
 from .memstore import MemoryRegion, Write
 
 DEFAULT_CACHE_SLOTS = 32768
+# plain ints: an enum member costs a lookup per call
+_PC_CHUNK = int(Domain.PC_CHUNK)
+_PC_HOP_CSUM = int(Domain.PC_HOP_CSUM)
 
 
 class HopOutOfRange(ValueError):
@@ -38,8 +46,10 @@ def _next_pow2(n: int) -> int:
 class PostcardStore:
     """Geometry and hash configuration of one chunked postcard region.
 
-    ``cell_len``, ``chunk_payload_len`` and ``chunk_stride`` are fixed here.
-    RDMA payloads are padded to a power of two, so chunk addresses are shifts.
+    ``cell_len``, ``cell_width`` (its bits), ``cell_mask``, ``csum_shift``,
+    ``chunk_payload_len`` and ``chunk_stride`` are fixed here, together with
+    the check that every chunk lies inside the region.  RDMA payloads are
+    padded to a power of two, so chunk addresses are shifts.
     """
 
     region: MemoryRegion
@@ -58,20 +68,32 @@ class PostcardStore:
         if self.codec.bits != self.cell_bits:
             raise ValueError("codec bit width must match cell_bits")
         self.cell_len = (self.cell_bits + 7) // 8
+        self.cell_width = 8 * self.cell_len
+        self.cell_mask = (1 << self.cell_width) - 1
+        self.csum_shift = 64 - self.cell_bits
         self.chunk_payload_len = self.hops * self.cell_len
         self.chunk_stride = _next_pow2(self.chunk_payload_len)
-        if self.base + self.chunks * self.chunk_stride > self.region.size:
+        if self.base < 0 or self.base + self.chunks * self.chunk_stride > self.region.size:
             raise ValueError(
                 f"{self.chunks} chunks of {self.chunk_stride}B at base {self.base} "
                 f"exceed region of {self.region.size}B"
             )
 
-    def chunk_address(self, chunk: int) -> int:
-        return self.base + chunk * self.chunk_stride
-
 
 def _flow_key(flow_id: int) -> bytes:
     return flow_id.to_bytes(8, "big")
+
+
+def _hop_checksums(store: PostcardStore, fkey: bytes) -> list[int]:
+    """The cell_bits-wide checksum of each hop of a flow: member (PC_HOP_CSUM, hop)."""
+    raw64, shift = store.family.raw64, store.csum_shift
+    return [raw64(_PC_HOP_CSUM, hop, fkey) >> shift for hop in range(store.hops)]
+
+
+def _chunk_addresses(store: PostcardStore, fkey: bytes, n_redundancy: int) -> list[int]:
+    """Address of each redundancy copy j of a flow's chunk: member (PC_CHUNK, j)."""
+    raw64, base, chunks, stride = store.family.raw64, store.base, store.chunks, store.chunk_stride
+    return [base + raw64(_PC_CHUNK, j, fkey) % chunks * stride for j in range(n_redundancy)]
 
 
 class EmissionReason(Enum):
@@ -188,16 +210,12 @@ def pc_write(store: PostcardStore, chunk: EmittedChunk, n_redundancy: int) -> li
     if len(chunk.cells) != store.hops:
         raise ValueError(f"chunk must carry exactly {store.hops} cells")
     fkey = _flow_key(chunk.flow_id)
-    cells = bytearray()
-    for i, value in enumerate(chunk.cells):
-        sym = BLANK if value is None else value
-        word = store.family.hop_checksum(fkey, i, store.cell_bits) ^ store.codec.encode(sym)
-        cells += word.to_bytes(store.cell_len, "little")
-    payload = bytes(cells).ljust(store.chunk_stride, b"\x00")
-    return [
-        Write(store.chunk_address(store.family.chunk_hash(j, fkey, store.chunks)), payload)
-        for j in range(n_redundancy)
-    ]
+    codec, width = store.codec, store.cell_width
+    word = 0
+    for i, (checksum, value) in enumerate(zip(_hop_checksums(store, fkey), chunk.cells)):
+        word |= (checksum ^ codec.encode(BLANK if value is None else value)) << i * width
+    payload = word.to_bytes(store.chunk_stride, "little")  # zero-pads the chunk
+    return [Write(at, payload) for at in _chunk_addresses(store, fkey, n_redundancy)]
 
 
 class PathOutcome(Enum):
@@ -212,25 +230,30 @@ class PostcardQueryResult:
     values: tuple = ()
 
 
-def _decode_chunk(store: PostcardStore, checksums: list, chunk_index: int) -> Optional[tuple]:
-    """Value prefix of a chunk if it is valid under the flow's hop ``checksums``, else None."""
-    raw = store.region.read(store.chunk_address(chunk_index), store.chunk_payload_len)
-    syms = []
-    for i, checksum in enumerate(checksums):
-        word = int.from_bytes(raw[i * store.cell_len:(i + 1) * store.cell_len], "little")
-        sym = store.codec.decode(word ^ checksum)
+_EMPTY = PostcardQueryResult(PathOutcome.EMPTY)
+_AMBIGUOUS = PostcardQueryResult(PathOutcome.AMBIGUOUS)
+
+
+def _decode_chunk(store: PostcardStore, checksums: list, word: int) -> Optional[tuple]:
+    """Value prefix of a chunk read as one integer; None unless every cell decodes under
+    the flow's hop ``checksums`` and the values are followed only by BLANKs."""
+    decode, width, mask = store.codec.decode, store.cell_width, store.cell_mask
+    values = []
+    for checksum in checksums:
+        sym = decode(word & mask ^ checksum)
         if sym is None:
             return None
-        syms.append(sym)
-    # valid iff some prefix of values is followed only by BLANKs
-    length = store.hops
-    for i, sym in enumerate(syms):
+        word >>= width
         if sym is BLANK:
-            length = i
             break
-    if any(s is not BLANK for s in syms[length:]):
-        return None
-    return tuple(syms[:length])
+        values.append(sym)
+    else:
+        return tuple(values)
+    for checksum in checksums[len(values) + 1:]:
+        if decode(word & mask ^ checksum) is not BLANK:
+            return None
+        word >>= width
+    return tuple(values)
 
 
 def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQueryResult:
@@ -238,14 +261,18 @@ def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQ
     if not 1 <= n_redundancy <= 4:
         raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
     fkey = _flow_key(flow_id)
-    checksums = [store.family.hop_checksum(fkey, i, store.cell_bits) for i in range(store.hops)]
+    checksums = _hop_checksums(store, fkey)
+    buf, payload_len = store.region._buf, store.chunk_payload_len
+    # intact copies hold the same octets, so each distinct chunk is decoded once
+    words = {int.from_bytes(buf[at:at + payload_len], "little")
+             for at in _chunk_addresses(store, fkey, n_redundancy)}
     paths = set()
-    for j in range(n_redundancy):
-        decoded = _decode_chunk(store, checksums, store.family.chunk_hash(j, fkey, store.chunks))
+    for word in words:
+        decoded = _decode_chunk(store, checksums, word)
         if decoded is not None:
             paths.add(decoded)
     if not paths:
-        return PostcardQueryResult(PathOutcome.EMPTY)
+        return _EMPTY
     if len(paths) > 1:
-        return PostcardQueryResult(PathOutcome.AMBIGUOUS)
+        return _AMBIGUOUS
     return PostcardQueryResult(PathOutcome.PATH, paths.pop())

@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,11 +37,36 @@ def test_bench_pairs_writes_a_record(capsys):
     result = record["workloads"]["mc-query"]
     assert result["seeds"] == [3] and result["pairs"] == 1
     assert result["runs_correct"] and result["failed_both_sides"] == 0
+    assert result["check_failures"] == []
     for metric in ("reports_per_s", "kw_trials_per_s", "pc_trials_per_s", "setup_s",
                    "peak_rss_mb"):
         entry = result["metrics"][metric]
         assert len(entry["parent"]["runs"]) == len(entry["change"]["runs"]) == 1
         assert entry["change_wins_pairs"] in ("0/1", "1/1")
+
+
+def test_bench_pairs_keeps_the_reason_a_run_failed(monkeypatch, capsys):
+    repo = SCRIPTS.parent
+    names = [m["name"] for m in json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]]
+    failing = {"correct": False, "attempted": 1, "failed": 0,
+               "metrics": {name: {"value": 1.0} for name in names}}
+
+    def fake_run(cmd, cwd, **kwargs):  # every run fails the same output check
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout="warming up\n" + json.dumps(failing) + "\n",
+            stderr="CHECK FAILED: pc stats outside bracket\nsome other note\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    assert main([str(repo), str(repo), "--workload", "mc-query", "--pairs", "2",
+                 "--seconds", "0", "--seeds", "3"]) == 0
+    out, err = capsys.readouterr()
+    result = json.loads(out)["workloads"]["mc-query"]
+    assert not result["runs_correct"]
+    assert result["check_failures"] == ["parent: CHECK FAILED: pc stats outside bracket",
+                                        "change: CHECK FAILED: pc stats outside bracket"]
+    assert "mc-query change: CHECK FAILED: pc stats outside bracket" in err
+    assert "some other note" not in err
 
 
 def _runs(name, parent, change):
