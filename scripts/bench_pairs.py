@@ -13,7 +13,8 @@ change's median moved the worse way by more than the metric's ``bound``.
 Each metric beyond its bound is also named on stderr.  A run whose output
 check fails still exits 0 and says why on stderr; each workload's distinct
 ``CHECK FAILED`` lines, prefixed with the side, go under ``check_failures``
-and to stderr.  The JSON goes to stdout.
+and to stderr.  ``src_lines`` gives each side's line count of ``src/**/*.py``, so
+a record shows a change's size next to its metrics.  The JSON goes to stdout.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result["check_failures"] = [line for line in done.stderr.splitlines()
                                 if line.startswith("CHECK FAILED")]
     return result
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/**/*.py`` in ``checkout``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/**/*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -123,6 +129,8 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "python": platform.python_version(),
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of one side",
+        "src_lines": {side: src_lines(checkout)
+                      for side, checkout in zip(SIDES, (args.parent, args.change))},
         "workloads": {w: bench_workload(args.parent.resolve(), args.change.resolve(), w,
                                         args.seeds, args.pairs, args.seconds, metrics)
                       for w in args.workload},

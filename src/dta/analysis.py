@@ -188,3 +188,16 @@ def pc_wrong_bound(m: PcModel) -> float:
     """Wrong-path probability of a postcard chunk query."""
     p = overwrite_prob(m.alpha, m.redundancy)
     return min(1.0, p**m.redundancy * m.redundancy * pc_valid_decode_prob(m))
+
+
+def bounds(model, exact_m: Optional[int] = None) -> dict:
+    """No-output and wrong-output probabilities with brackets; ``exact_m`` is for a KwModel."""
+    if isinstance(model, PcModel):
+        fail = pc_fail_bound(model)
+        return {"no_output": fail.total, "no_output_lo": fail.lower,
+                "no_output_hi": fail.upper, "wrong_output": pc_wrong_bound(model)}
+    no_out = kw_no_output_bound(model, exact_m)
+    wrong = kw_wrong_output_bound(model, exact_m)
+    return {"no_output": no_out.total, "no_output_lo": no_out.lower,
+            "no_output_hi": no_out.upper, "wrong_output": wrong.bound,
+            "wrong_output_lo": wrong.lower, "wrong_output_hi": wrong.upper}

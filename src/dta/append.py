@@ -23,7 +23,7 @@ class BadEntryLength(ValueError):
     """Entry does not match the list's fixed entry width."""
 
 
-class UnknownList(KeyError):
+class UnknownList(ValueError):
     """No list registered under this id."""
 
 

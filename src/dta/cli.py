@@ -109,29 +109,19 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    table = {"model": "kw", "N": args.N, "b": args.b, "alpha": args.alpha}
     try:
-        kw = analysis.KwModel(args.N, args.b, args.alpha)
+        if args.hops is None:
+            table.update(analysis.bounds(analysis.KwModel(args.N, args.b, args.alpha),
+                                         args.exact_m))
+        else:
+            table["model"] = "postcarding"
+            table.update(analysis.bounds(analysis.PcModel(args.N, args.b, args.alpha,
+                                                          args.hops, args.value_bits)),
+                         B=args.hops, V_bits=args.value_bits)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    no_out = analysis.kw_no_output_bound(kw, exact_m=args.exact_m)
-    wrong = analysis.kw_wrong_output_bound(kw, exact_m=args.exact_m)
-    table = {
-        "model": "kw", "N": args.N, "b": args.b, "alpha": args.alpha,
-        "no_output": no_out.total, "no_output_lo": no_out.lower,
-        "no_output_hi": no_out.upper, "wrong_output": wrong.bound,
-        "wrong_output_lo": wrong.lower, "wrong_output_hi": wrong.upper,
-    }
-    if args.hops is not None:
-        pc = analysis.PcModel(args.N, args.b, args.alpha, args.hops, args.value_bits)
-        fail = analysis.pc_fail_bound(pc)
-        table.update({
-            "model": "postcarding", "B": args.hops, "V_bits": args.value_bits,
-            "no_output": fail.total, "no_output_lo": fail.lower,
-            "no_output_hi": fail.upper, "wrong_output": analysis.pc_wrong_bound(pc),
-        })
-        table.pop("wrong_output_lo")
-        table.pop("wrong_output_hi")
     if args.json:
         print(json.dumps(table))
     else:

@@ -8,10 +8,10 @@ collisions) but never underestimate.
 Sketch-Merge aggregates per-reporter sketch columns at the translator,
 because the network-wide merge operators (element-wise sum or max) are
 richer than what one-sided verbs offer.  Columns from each reporter must
-arrive in order; an out-of-order column is refused with the expected index
-so the reporter can resend.  A column is complete once every reporter has
-merged it, and completed columns ship to collector memory contiguously in
-batches.
+arrive in order; an out-of-order column is refused by raising
+``ColumnOutOfOrder``, which carries the index the reporter must resend from.
+A column is complete once every reporter has merged it, and completed
+columns ship to collector memory contiguously in batches.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
-from .hashing import Domain, HashFamily
+from .hashing import MAX_REDUNDANCY, Domain, HashFamily
 from .memstore import FetchAdd, MemoryRegion, Write
 
 COUNTER_LEN = 8
@@ -57,8 +56,8 @@ def ki_increment(store: KiStore, key: bytes, delta: int, n_redundancy: int) -> l
     """Expand one counter report into N fetch-add verbs, copy n at ``raw64(KW_SLOT, n, key)``."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not 1 <= n_redundancy <= 4:
-        raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
+    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
+        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     family, base, buflen = store.family, store.base, store.buflen
     return [FetchAdd(base + family.raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN, delta)
             for n in range(n_redundancy)]
@@ -70,8 +69,8 @@ def ki_query(store: KiStore, key: bytes, n_redundancy: int) -> int:
     The store checked at construction that every counter lies inside the
     region, so each is read straight from the region's memory.
     """
-    if not 1 <= n_redundancy <= 4:
-        raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
+    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
+        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     family, base, buflen, buf = store.family, store.base, store.buflen, store.region._buf
     read = _U64LE.unpack_from
     return min(read(buf, base + family.raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN)[0]
@@ -96,9 +95,12 @@ class SketchSpec:
             raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
 
 
-@dataclass(frozen=True)
-class Nack:
-    expected_index: int
+class ColumnOutOfOrder(ValueError):
+    """A reporter's column is not the next one it owes; resend from ``expected_index``."""
+
+    def __init__(self, expected_index: int, col_index: int):
+        super().__init__(f"column {col_index} out of order, expected {expected_index}")
+        self.expected_index = expected_index
 
 
 class SketchMergeState:
@@ -111,30 +113,20 @@ class SketchMergeState:
         self.reporters = reporters
         self.last_in_order: dict[int, int] = {}  # reporter -> last merged column
         self.merged_count = [0] * spec.cols
-        self.complete = [False] * spec.cols
+        self.complete_cols = 0  # columns [0, complete_cols) are merged by every reporter
         # columns[c][r]: merged value of row r in column c
         self.columns = [[0] * spec.rows for _ in range(spec.cols)]
         self.flushed_cols = 0
 
-    def first_incomplete(self) -> int:
-        for c in range(self.spec.cols):
-            if not self.complete[c]:
-                return c
-        return self.spec.cols
-
 
 def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
-                     col_values: list[int]) -> Optional[Nack]:
-    """Merge one reporter's column if it is the next in order, else refuse.
-
-    Returns None on a merge.  A refused column leaves all state untouched and
-    returns a Nack carrying the index the reporter must resend from.
-    """
+                     col_values: list[int]) -> None:
+    """Merge one reporter's column if it is its next in order; else raise, changing nothing."""
     if len(col_values) != state.spec.rows:
         raise ValueError(f"expected {state.spec.rows} rows, got {len(col_values)}")
     expected = state.last_in_order.get(reporter, -1) + 1
     if col_index != expected:
-        return Nack(expected)
+        raise ColumnOutOfOrder(expected, col_index)
     if col_index >= state.spec.cols:
         raise ValueError(f"column {col_index} outside sketch of {state.spec.cols} columns")
 
@@ -149,8 +141,8 @@ def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
     state.last_in_order[reporter] = col_index
     state.merged_count[col_index] += 1
     if state.merged_count[col_index] == state.reporters:
-        state.complete[col_index] = True
-    return None
+        # every reporter merges in order, so each column below is complete too
+        state.complete_cols = col_index + 1
 
 
 def sm_flush_completed(state: SketchMergeState, store_base: int,
@@ -164,7 +156,7 @@ def sm_flush_completed(state: SketchMergeState, store_base: int,
     """
     if w_batch < 1:
         raise ValueError(f"w_batch must be >= 1, got {w_batch}")
-    ready = state.first_incomplete()
+    ready = state.complete_cols
     col_len = state.spec.rows * COUNTER_LEN
     verbs = []
     while state.flushed_cols < ready:

@@ -290,16 +290,10 @@ def _rates(stats: McStats) -> dict:
     }
 
 
-def _kw_bounds(redundancy: int, checksum_bits: int, alpha: float) -> dict:
-    model = analysis.KwModel(redundancy, checksum_bits, alpha)
-    no_out = analysis.kw_no_output_bound(model)
-    wrong = analysis.kw_wrong_output_bound(model)
-    return {
-        "bound_no_output_lo": no_out.lower,
-        "bound_no_output_hi": no_out.upper,
-        "bound_wrong_lo": wrong.lower,
-        "bound_wrong_hi": wrong.upper,
-    }
+# kw-redundancy's bracket columns, each with its ``analysis.bounds`` key
+_KW_BRACKET = (("bound_no_output_lo", "no_output_lo"), ("bound_no_output_hi", "no_output_hi"),
+               ("bound_wrong_lo", "wrong_output_lo"), ("bound_wrong_hi", "wrong_output_hi"))
+_BOUND_COLUMNS = ("no_output", "no_output_lo", "no_output_hi", "wrong_output")
 
 
 def _suite_kw_redundancy(params: dict, seed: int) -> list[dict]:
@@ -314,7 +308,8 @@ def _suite_kw_redundancy(params: dict, seed: int) -> list[dict]:
                 )
                 row = {"load_factor": alpha, "N": n, "b": b, "policy": policy.value,
                        **_rates(stats)}
-                row.update({k: f"{v:.6g}" for k, v in _kw_bounds(n, b, alpha).items()})
+                bounds = analysis.bounds(analysis.KwModel(n, b, alpha))
+                row.update({column: f"{bounds[key]:.6g}" for column, key in _KW_BRACKET})
                 rows.append(row)
     return rows
 
@@ -392,15 +387,15 @@ def _suite_postcarding_accuracy(params: dict, seed: int) -> list[dict]:
             params["value_bits"], params["redundancy"], alpha,
             params["queries"], seed,
         )
-        model = analysis.PcModel(params["redundancy"], params["cell_bits"], alpha,
-                                 params["hops"], params["value_bits"])
+        bounds = analysis.bounds(analysis.PcModel(params["redundancy"], params["cell_bits"],
+                                                  alpha, params["hops"], params["value_bits"]))
         rows.append({
             "alpha": alpha, "N": params["redundancy"], "b": params["cell_bits"],
             "B": params["hops"], "V_bits": params["value_bits"],
             "fail_rate": round(stats.fail_rate, 6),
             "wrong_rate": round(stats.wrong_rate, 6),
-            "bound_fail": f"{analysis.pc_fail_bound(model).total:.6g}",
-            "bound_wrong": f"{analysis.pc_wrong_bound(model):.6g}",
+            "bound_fail": f"{bounds['no_output']:.6g}",
+            "bound_wrong": f"{bounds['wrong_output']:.6g}",
             "trials": stats.trials,
         })
     return rows
@@ -587,29 +582,17 @@ def _suite_flowctl_loss(params: dict, seed: int) -> list[dict]:
 def _suite_bounds(params: dict, seed: int) -> list[dict]:
     rows = []
     for alpha in params["alphas"]:
-        for n in params["redundancies"]:
-            for b in params["checksum_bits"]:
-                model = analysis.KwModel(n, b, alpha)
-                no_out = analysis.kw_no_output_bound(model)
-                rows.append({
-                    "model": "kw", "N": n, "b": b, "alpha": alpha, "B": "", "V_bits": "",
-                    "no_output": f"{no_out.total:.6g}",
-                    "no_output_lo": f"{no_out.lower:.6g}",
-                    "no_output_hi": f"{no_out.upper:.6g}",
-                    "wrong_output": f"{analysis.kw_wrong_output_bound(model).bound:.6g}",
-                })
-        for n in params["redundancies"]:
-            pc = analysis.PcModel(n, params["pc_cell_bits"], alpha,
-                                  params["pc_hops"], params["pc_value_bits"])
-            fail = analysis.pc_fail_bound(pc)
-            rows.append({
-                "model": "postcarding", "N": n, "b": params["pc_cell_bits"],
-                "alpha": alpha, "B": params["pc_hops"], "V_bits": params["pc_value_bits"],
-                "no_output": f"{fail.total:.6g}",
-                "no_output_lo": f"{fail.lower:.6g}",
-                "no_output_hi": f"{fail.upper:.6g}",
-                "wrong_output": f"{analysis.pc_wrong_bound(pc):.6g}",
-            })
+        models = [("kw", analysis.KwModel(n, b, alpha), "", "")
+                  for n in params["redundancies"] for b in params["checksum_bits"]]
+        models += [("postcarding", analysis.PcModel(n, params["pc_cell_bits"], alpha,
+                                                    params["pc_hops"], params["pc_value_bits"]),
+                    params["pc_hops"], params["pc_value_bits"])
+                   for n in params["redundancies"]]
+        for name, model, hops, value_bits in models:
+            bounds = analysis.bounds(model)
+            rows.append({"model": name, "N": model.redundancy, "b": model.checksum_bits,
+                         "alpha": alpha, "B": hops, "V_bits": value_bits,
+                         **{key: f"{bounds[key]:.6g}" for key in _BOUND_COLUMNS}})
     return rows
 
 

@@ -71,7 +71,9 @@ class TokenBucket:
         self.tokens = min(self.burst, self.tokens + self.rate)
 
     def try_consume(self, n: float) -> bool:
-        if n <= self.tokens:
+        # a full bucket also admits a report that costs more than the burst;
+        # the debt it leaves is repaid by later steps, so the rate still holds
+        if n <= self.tokens or self.tokens >= self.burst:
             self.tokens -= n
             return True
         return False

@@ -20,6 +20,8 @@ from hashlib import blake2b
 from itertools import islice, repeat
 
 ALGORITHM_ID = "blake2b-64"
+# most copies one report may ask for; the stores and sim.Topology refuse more
+MAX_REDUNDANCY = 4
 
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .hashing import Domain, HashFamily
+from .hashing import MAX_REDUNDANCY, Domain, HashFamily
 from .memstore import MemoryRegion, Write
 
-MAX_REDUNDANCY = 4
 _KW_SLOT = int(Domain.KW_SLOT)  # a plain int: an enum member costs a lookup per call
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .hashing import BLANK, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
+from .hashing import BLANK, MAX_REDUNDANCY, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
 from .memstore import MemoryRegion, Write
 
 DEFAULT_CACHE_SLOTS = 32768
@@ -205,8 +205,8 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
 
 def pc_write(store: PostcardStore, chunk: EmittedChunk, n_redundancy: int) -> list[Write]:
     """Translate an emitted chunk into its N contiguous chunk writes."""
-    if not 1 <= n_redundancy <= 4:
-        raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
+    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
+        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(chunk.cells) != store.hops:
         raise ValueError(f"chunk must carry exactly {store.hops} cells")
     fkey = _flow_key(chunk.flow_id)
@@ -258,8 +258,8 @@ def _decode_chunk(store: PostcardStore, checksums: list, word: int) -> Optional[
 
 def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQueryResult:
     """Read the flow's N chunks and report the path they agree on."""
-    if not 1 <= n_redundancy <= 4:
-        raise ValueError(f"redundancy must be in [1, 4], got {n_redundancy}")
+    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
+        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     fkey = _flow_key(flow_id)
     checksums = _hop_checksums(store, fkey)
     buf, payload_len = store.region._buf, store.chunk_payload_len

@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import append as append_mod
 from . import counters, flowctl, keywrite, postcarding, wire
-from .hashing import HashFamily, value_codec
+from .hashing import MAX_REDUNDANCY, HashFamily, value_codec
 from .memstore import PSN_MOD, MemoryRegion, QueuePair, apply_verb, reset_qp
 
 
@@ -120,6 +120,14 @@ class Topology:
     def __post_init__(self):
         if self.reporters < 1:
             raise ConfigError("reporters", f"must be >= 1, got {self.reporters}")
+        # values each report carries to its store, refused here and not per report
+        for section in ("kw", "pc", "ki"):
+            n = getattr(self, section).redundancy
+            if not 1 <= n <= MAX_REDUNDANCY:
+                raise ConfigError(f"{section}.redundancy",
+                                  f"must be in [1, {MAX_REDUNDANCY}], got {n}")
+        if self.sketch.w_batch < 1:
+            raise ConfigError("sketch.w_batch", f"must be >= 1, got {self.sketch.w_batch}")
 
 
 class WorkloadKind(Enum):
@@ -157,6 +165,7 @@ class RunReport:
     packets_sent: int = 0  # includes retransmissions and keepalives
     packets_lost: int = 0
     reports_applied: int = 0
+    reports_refused: int = 0  # delivered in order, refused by its store
     retransmissions: int = 0
     keepalives: int = 0
     nacks_sent: int = 0
@@ -307,22 +316,26 @@ class Translator:
                 verbs += postcarding.pc_write(self.pc_store, chunk,
                                               self.topology.pc.redundancy)
             return verbs
-        if isinstance(body, wire.SketchMergeBody):
-            outcome = counters.sm_ingest_column(
-                self.sketch_state, packet.reporter_id, body.col_index, list(body.values)
-            )
-            if isinstance(outcome, counters.Nack):
-                return []  # in-order delivery makes this unreachable except misuse
-            return counters.sm_flush_completed(
-                self.sketch_state, self.sketch_base, self.topology.sketch.w_batch
-            )
-        raise TypeError(f"unknown body {body!r}")
+        # the one body class left: SketchMergeBody
+        counters.sm_ingest_column(self.sketch_state, packet.reporter_id, body.col_index,
+                                  list(body.values))
+        return counters.sm_flush_completed(self.sketch_state, self.sketch_base,
+                                           self.topology.sketch.w_batch)
 
     def apply(self, packet: wire.DtaPacket) -> None:
         if packet.essential:
             key = (packet.reporter_id, packet.essential_seq)
             self.applied_essential[key] = self.applied_essential.get(key, 0) + 1
-        self.collector.apply(self.translate(packet))
+        # a store refuses a report by raising ValueError before it changes any
+        # state; flow.receive has moved the sequence past it on purpose, since
+        # it did arrive in order and a NACK would only bring back octets the
+        # store refuses again
+        try:
+            verbs = self.translate(packet)
+        except ValueError:
+            self.report.reports_refused += 1
+            return
+        self.collector.apply(verbs)
         self.report.reports_applied += 1
 
 
@@ -361,6 +374,9 @@ def _generate_bodies(topology: Topology, workload: Workload, reporter_id: int,
             bodies.append(wire.AppendBody(i % t.append.lists,
                                           rng.randbytes(t.append.entry_len)))
     elif w.kind is WorkloadKind.POSTCARDS:
+        if w.path_len_fixed is not None and not 1 <= w.path_len_fixed <= t.pc.hops:
+            raise ConfigError("workload.path_len_fixed",
+                              f"must be in [1, {t.pc.hops}] (pc.hops), got {w.path_len_fixed}")
         universe = 2 ** t.pc.value_bits
         flow = 0
         while len(bodies) < count:

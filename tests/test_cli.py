@@ -28,6 +28,15 @@ def test_bounds_json_postcard_model(capsys):
     assert table["wrong_output"] < 1e-22
 
 
+@pytest.mark.parametrize("extra", [["--hops", "0"], ["--hops", "5", "--value-bits", "-1"],
+                                   ["--exact-m", "0"]], ids=["hops", "value-bits", "exact-m"])
+def test_bounds_refuses_a_bad_model_without_a_traceback(capsys, extra):
+    assert run_cli("bounds", "--N", "2", "--b", "32", "--alpha", "0.1", *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_suite_writes_reparseable_csv(tmp_path, capsys):
     out = tmp_path / "longevity.csv"
     code = run_cli("suite", "kw-longevity", "--seed", "3", "--out", str(out),
@@ -163,6 +172,29 @@ def test_config_the_stores_refuse_fails_run_and_validate(tmp_path, capsys, topol
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"topology": {"kw": {"redundancy": 5}}, "workload": {"kind": "kw-flows"}}, "kw.redundancy"),
+    ({"topology": {"pc": {"redundancy": 0}}, "workload": {"kind": "postcards"}}, "pc.redundancy"),
+    ({"topology": {"ki": {"redundancy": 7}}, "workload": {"kind": "ki-counters"}},
+     "ki.redundancy"),
+    ({"topology": {"sketch": {"w_batch": 0}}, "workload": {"kind": "sketch-columns"}},
+     "sketch.w_batch"),
+    ({"workload": {"kind": "postcards", "path_len_fixed": 9}}, "workload.path_len_fixed"),
+    ({"workload": {"kind": "postcards", "path_len_fixed": -1}}, "workload.path_len_fixed"),
+], ids=["kw-redundancy", "pc-redundancy", "ki-redundancy", "sketch-w-batch",
+        "path-len-above-hops", "path-len-negative"])
+def test_config_a_store_would_refuse_per_report_fails_run_and_validate(tmp_path, capsys,
+                                                                        config, field):
+    """Values that reach a store only with each report are refused when the run is built."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for argv in (["run", "--config", str(path)], ["validate", str(path)]):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ")
 
 
 @pytest.mark.parametrize("flag", ["--offset", "--length"])

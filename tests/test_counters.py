@@ -4,9 +4,9 @@ import pytest
 
 from dta.counters import (
     COUNTER_LEN,
+    ColumnOutOfOrder,
     KiStore,
     MergeOp,
-    Nack,
     SketchMergeState,
     SketchSpec,
     ki_increment,
@@ -102,7 +102,7 @@ def test_single_reporter_all_columns_complete():
     state = SketchMergeState(SketchSpec(4, 8), reporters=1)
     sketch = random_sketch(random.Random(0), 4, 8)
     feed_in_order(state, 0, sketch)
-    assert all(state.complete)
+    assert state.complete_cols == state.spec.cols
     assert state.columns == sketch
 
 
@@ -110,8 +110,9 @@ def test_out_of_order_column_nacked_without_state_change():
     state = SketchMergeState(SketchSpec(2, 4), reporters=1)
     sm_ingest_column(state, 0, 0, [1, 1])
     before = [list(c) for c in state.columns]
-    outcome = sm_ingest_column(state, 0, 2, [9, 9])
-    assert outcome == Nack(expected_index=1)
+    with pytest.raises(ColumnOutOfOrder) as refused:
+        sm_ingest_column(state, 0, 2, [9, 9])
+    assert refused.value.expected_index == 1
     assert state.columns == before
     assert state.merged_count[2] == 0
 
@@ -129,12 +130,13 @@ def test_nacked_column_recovers_to_loss_free_result():
     feed_in_order(lossy, 0, sketches[0])
     # reporter 1 skips column 1, gets refused, then resends in order
     assert sm_ingest_column(lossy, 1, 0, sketches[1][0]) is None
-    nack = sm_ingest_column(lossy, 1, 2, sketches[1][2])
-    assert nack == Nack(expected_index=1)
+    with pytest.raises(ColumnOutOfOrder) as refused:
+        sm_ingest_column(lossy, 1, 2, sketches[1][2])
+    assert refused.value.expected_index == 1
     for col in (1, 2, 3, 4):
         assert sm_ingest_column(lossy, 1, col, sketches[1][col]) is None
     assert lossy.columns == clean.columns
-    assert lossy.complete == clean.complete
+    assert lossy.complete_cols == clean.complete_cols
 
 
 @pytest.mark.parametrize("op", [MergeOp.SUM, MergeOp.MAX])
@@ -149,12 +151,13 @@ def test_merge_matches_element_wise_oracle_under_interleaving(op):
         r = rng.choice([i for i in range(reporters) if progress[i] < cols])
         assert sm_ingest_column(state, r, progress[r], sketches[r][progress[r]]) is None
         progress[r] += 1
+        assert state.complete_cols == min(progress)  # the prefix every reporter has merged
 
     fn = sum if op is MergeOp.SUM else max
     oracle = [[fn(sketches[r][c][row] for r in range(reporters))
                for row in range(rows)] for c in range(cols)]
     assert state.columns == oracle
-    assert all(state.complete)
+    assert state.complete_cols == state.spec.cols
 
 
 def test_merge_invariant_under_reporter_permutation():

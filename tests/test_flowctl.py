@@ -181,6 +181,18 @@ def test_meter_processes_and_diverts_per_budget():
     assert not flow.deferred
 
 
+def test_full_bucket_admits_a_report_above_its_burst_and_repays_the_debt():
+    bucket = TokenBucket(rate=1, burst=2)
+    assert bucket.try_consume(5)  # full, so admitted: 3 verbs in debt
+    assert bucket.tokens == -3
+    admitted = []
+    for _ in range(6):
+        bucket.step()
+        admitted.append(bucket.try_consume(1))
+    assert admitted == [False, False, False, True, True, True]
+    assert not TokenBucket(rate=1, burst=2, tokens=1).try_consume(5)  # not full
+
+
 def test_non_essential_dropped_when_saturated():
     flow = TranslatorFlowState(TokenBucket(rate=1, burst=1, tokens=0))
     packet = DtaPacket(AppendBody(0, b"\x00" * 4), 0, 0, make_flags())

@@ -34,6 +34,8 @@ def test_bench_pairs_writes_a_record(capsys):
     assert main([str(repo), str(repo), "--workload", "mc-query", "--pairs", "1",
                  "--seconds", "0", "--seeds", "3"]) == 0
     record = json.loads(capsys.readouterr().out)
+    lines = sum(len(path.read_text().splitlines()) for path in (repo / "src").rglob("*.py"))
+    assert record["src_lines"] == {"parent": lines, "change": lines}
     result = record["workloads"]["mc-query"]
     assert result["seeds"] == [3] and result["pairs"] == 1
     assert result["runs_correct"] and result["failed_both_sides"] == 0

@@ -1,8 +1,11 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dta import sim
+from dta import sim, wire
 from dta.memstore import PSN_MOD, FetchAdd, MemoryRegion, reset_qp
 from dta.keywrite import QueryOutcome, kw_query
 from dta.postcarding import PathOutcome, pc_query
@@ -152,7 +155,7 @@ def test_sketch_run_completes_and_matches_oracle():
     report = s.run()
     assert report.drained and report.exactly_once_ok
     state = s.translator.sketch_state
-    assert all(state.complete)
+    assert state.complete_cols == topo.sketch.cols
     for col in range(topo.sketch.cols):
         expected = [sum(per_reporter[r][col].values[row] for r in range(3))
                     for row in range(topo.sketch.rows)]
@@ -172,6 +175,106 @@ def test_meter_saturation_diverts_and_drains():
     assert report.diverted > 0
     assert report.congestion_signals > 0
     assert report.drained and report.exactly_once_ok
+
+
+def _sending(s: Simulation, bodies) -> Simulation:
+    """``s`` with its first reporter sending exactly ``bodies``."""
+    s.reporters[0].pending_bodies = deque(bodies)
+    s.report.reports_offered = len(bodies)
+    return s
+
+
+def test_a_report_costlier_than_the_meter_burst_still_drains():
+    """A full bucket admits a report whose verbs exceed the burst, refused or not."""
+    topo = Topology(translator=TranslatorConfig(meter_rate=1, meter_burst=1))
+    wl = Workload(kind=WorkloadKind.KW_FLOWS, reports=20)
+    s = Simulation(topo, wl, seed=3)
+    bodies = list(s.reporters[0].pending_bodies)
+    report = sim.run(topo, wl, seed=3)
+    assert report.reports_applied == 20 and report.diverted > 0
+    assert report.drained and report.exactly_once_ok
+    # a refused report is charged its wire redundancy first, here 255 verbs
+    bodies.insert(7, wire.KeyWriteBody(255, bytes(8), bytes(4)))
+    report = _sending(s, bodies).run()
+    assert report.reports_applied == 20 and report.reports_refused == 1
+    assert report.drained and report.exactly_once_ok
+
+
+_KEY = bytes(8)
+# Each body decodes cleanly but has one field its store refuses at the default Topology.
+REFUSED_BODIES = {
+    "kw-redundancy-7": wire.KeyWriteBody(7, _KEY, bytes(4)),
+    "kw-2-byte-value": wire.KeyWriteBody(2, _KEY, bytes(2)),
+    "append-list-9": wire.AppendBody(9, bytes(4)),
+    "append-3-byte-entry": wire.AppendBody(0, bytes(3)),
+    "ki-redundancy-0": wire.KeyIncrementBody(0, _KEY, 1),
+    "ki-redundancy-5": wire.KeyIncrementBody(5, _KEY, 1),
+    "postcard-hop-9": wire.PostcardBody(1, 9, 1, 5),
+    "postcard-value-5000": wire.PostcardBody(1, 0, 5000, 5),
+    "postcard-path-len-6": wire.PostcardBody(1, 0, 1, 6),
+    "sketch-2-rows": wire.SketchMergeBody(0, (1, 2)),
+    "sketch-first-column-5": wire.SketchMergeBody(5, (1, 2, 3, 4)),
+    "sketch-first-column-99": wire.SketchMergeBody(99, (1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_BODIES)
+def test_a_report_its_store_refuses_is_counted_and_writes_nothing(name):
+    s = Simulation(Topology(), Workload(WorkloadKind.KW_FLOWS, reports=0), seed=1)
+    report = _sending(s, [REFUSED_BODIES[name]]).run()
+    assert report.reports_refused == 1
+    assert report.reports_applied == report.verbs_applied == 0
+    assert report.drained and report.exactly_once_ok
+    assert s.translator.region.snapshot() == bytes(s.translator.region.size)
+
+
+_REDUNDANCY_OUT_OF_RANGE = st.one_of(st.just(0), st.integers(5, 255))
+_OTHER_LENGTH = st.integers(0, 12).filter(lambda n: n != 4)  # every store here takes 4 octets
+# Bodies with exactly one field out of range at the default Topology (4 lists,
+# 5 hops, a 2**10 value universe, 4 x 16 sketch); no sketch column from 17 up
+# is ever the next one a reporter owes.
+_BAD_BODIES = {
+    WorkloadKind.KW_FLOWS: st.one_of(
+        _REDUNDANCY_OUT_OF_RANGE.map(lambda n: wire.KeyWriteBody(n, _KEY, bytes(4))),
+        _OTHER_LENGTH.map(lambda n: wire.KeyWriteBody(2, _KEY, bytes(n)))),
+    WorkloadKind.KI_COUNTERS: _REDUNDANCY_OUT_OF_RANGE.map(
+        lambda n: wire.KeyIncrementBody(n, _KEY, 3)),
+    WorkloadKind.APPEND_EVENTS: st.one_of(
+        st.integers(4, 2**32 - 1).map(lambda i: wire.AppendBody(i, bytes(4))),
+        _OTHER_LENGTH.map(lambda n: wire.AppendBody(1, bytes(n)))),
+    WorkloadKind.POSTCARDS: st.one_of(
+        st.integers(5, 255).map(lambda hop: wire.PostcardBody(1, hop, 7, 5)),
+        st.integers(2**10, 2**32 - 1).map(lambda v: wire.PostcardBody(1, 0, v, 5)),
+        st.integers(6, 255).map(lambda n: wire.PostcardBody(1, 0, 7, n))),
+    WorkloadKind.SKETCH_COLUMNS: st.one_of(
+        _OTHER_LENGTH.map(lambda n: wire.SketchMergeBody(0, (1,) * n)),
+        st.integers(17, 2**16 - 1).map(lambda c: wire.SketchMergeBody(c, (1, 2, 3, 4)))),
+}
+
+
+@pytest.mark.parametrize("kind", list(WorkloadKind), ids=lambda k: k.value)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_refused_reports_leave_a_lossy_run_as_without_them(kind, data):
+    """Bad bodies among a valid stream are each refused once; the rest is unchanged.
+
+    One reporter, so the order the translator applies valid reports in, and
+    with it the memory image, does not depend on which packets the link drops.
+    """
+    topo = Topology(link=LinkConfig(0.05, 0.05))
+    wl = Workload(kind, reports=data.draw(st.integers(0, 40), label="reports"))
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    alone = Simulation(topo, wl, seed)
+    bodies = list(alone.reporters[0].pending_bodies)
+    bad = data.draw(st.lists(_BAD_BODIES[kind], min_size=1, max_size=6), label="bad")
+    for body in bad:
+        bodies.insert(data.draw(st.integers(0, len(bodies)), label="at"), body)
+    mixed = _sending(Simulation(topo, wl, seed), bodies).run()
+    expected = alone.run()
+    assert mixed.drained and mixed.exactly_once_ok
+    assert mixed.reports_refused == len(bad) and expected.reports_refused == 0
+    for name in ("reports_applied", "verbs_applied", "memory_sha256"):
+        assert getattr(mixed, name) == getattr(expected, name), name
 
 
 def test_insufficient_backlog_counts_unrecoverable_but_terminates():
@@ -223,7 +326,7 @@ def test_config_roundtrip_build():
 _CLEAN = dict(packets_lost=0, retransmissions=0, nacks_sent=0, nacks_lost=0,
               duplicates_suppressed=0, congestion_signals=0, diverted=0,
               dropped_low_priority=0, unrecoverable=0, verbs_faulted=0, qp_desyncs=0,
-              drained=True, exactly_once_ok=True)
+              reports_refused=0, drained=True, exactly_once_ok=True)
 
 PINNED_RUNS = {
     "kw-flows": (
