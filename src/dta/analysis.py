@@ -193,6 +193,8 @@ def pc_wrong_bound(m: PcModel) -> float:
 def bounds(model, exact_m: Optional[int] = None) -> dict:
     """No-output and wrong-output probabilities with brackets; ``exact_m`` is for a KwModel."""
     if isinstance(model, PcModel):
+        if exact_m is not None:
+            raise ValueError("exact_m: the Postcarding model has no finite-M variant")
         fail = pc_fail_bound(model)
         return {"no_output": fail.total, "no_output_lo": fail.lower,
                 "no_output_hi": fail.upper, "wrong_output": pc_wrong_bound(model)}

@@ -112,13 +112,12 @@ def _cmd_bounds(args) -> int:
     table = {"model": "kw", "N": args.N, "b": args.b, "alpha": args.alpha}
     try:
         if args.hops is None:
-            table.update(analysis.bounds(analysis.KwModel(args.N, args.b, args.alpha),
-                                         args.exact_m))
+            model, extra = analysis.KwModel(args.N, args.b, args.alpha), {}
         else:
             table["model"] = "postcarding"
-            table.update(analysis.bounds(analysis.PcModel(args.N, args.b, args.alpha,
-                                                          args.hops, args.value_bits)),
-                         B=args.hops, V_bits=args.value_bits)
+            model = analysis.PcModel(args.N, args.b, args.alpha, args.hops, args.value_bits)
+            extra = {"B": args.hops, "V_bits": args.value_bits}
+        table.update(analysis.bounds(model, args.exact_m), **extra)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -212,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evaluate the chunked postcard model with this many hops")
     p_bounds.add_argument("--value-bits", type=float, default=18, dest="value_bits")
     p_bounds.add_argument("--exact-m", type=int, default=None, dest="exact_m",
-                          help="use the exact finite-M overwrite model")
+                          help="use the exact finite-M Key-Write model (not with --hops)")
     p_bounds.add_argument("--json", action="store_true")
     p_bounds.set_defaults(fn=_cmd_bounds)
 

@@ -15,13 +15,17 @@ the bucket runs dry, essential reports are diverted to a deferred queue
 (re-injected once the rate drops), non-essential reports are discarded, and
 a congestion signal asks the reporter to slow down; reporters respond by
 halving their offered rate and recovering additively.
+
+``TranslatorFlowState.receive`` answers whether a report is applied now, and
+queues each NACK and congestion signal it makes on ``controls``, in order, for
+the caller to send and clear.  One damper, re-armed by ``begin_step``, allows
+one NACK per (reporter, gap) and one congestion signal per reporter per step.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import dropwhile
 from typing import Optional, Union
 
@@ -94,7 +98,6 @@ class ReporterState:
         self.rate = initial_rate
         self.evicted_unprotected = 0
         self.retransmissions = 0
-        self._signalled_this_step = False
 
     def send(self, body: Body, flags: int) -> bytes:
         """Stamp and encode one report, keeping an essential one's octets in the backlog."""
@@ -136,37 +139,14 @@ class ReporterState:
         return out
 
     def handle_congestion(self, signal: CongestionSignal) -> None:
-        """Multiplicative decrease, at most once per step."""
-        if self._signalled_this_step or self.rate == float("inf"):
-            return
-        self.rate = max(AIMD_MIN_RATE, self.rate * AIMD_DECREASE_FACTOR)
-        self._signalled_this_step = True
+        """Multiplicative decrease; the translator signals once per step at most."""
+        if self.rate != float("inf"):
+            self.rate = max(AIMD_MIN_RATE, self.rate * AIMD_DECREASE_FACTOR)
 
     def step(self) -> None:
         """Advance one step: additive rate recovery."""
-        self._signalled_this_step = False
         if self.rate != float("inf"):
             self.rate = min(self.max_rate, self.rate + AIMD_INCREASE_PER_STEP)
-
-
-class Decision(Enum):
-    PROCESS = "process"
-    NACK = "nack"
-    DUPLICATE = "duplicate"
-    DIVERT = "divert"
-    DROP_LOW_PRIORITY = "drop-low-priority"
-
-
-@dataclass(frozen=True, slots=True)
-class ReceiveVerdict:
-    decision: Decision
-    nack: Optional[NackPacket] = None
-    congestion: Optional[CongestionSignal] = None
-
-
-# the verdicts that carry no packet are shared, not built per report
-_PROCESS = ReceiveVerdict(Decision.PROCESS)
-_DUPLICATE = ReceiveVerdict(Decision.DUPLICATE)
 
 
 class TranslatorFlowState:
@@ -176,33 +156,34 @@ class TranslatorFlowState:
         self.meter = meter or TokenBucket(rate=float("inf"), burst=float("inf"))
         self.last_applied: dict[int, int] = {}
         self.deferred: deque = deque()  # (packet, verb_cost) awaiting meter headroom
+        # NACKs and congestion signals for the reporters, in the order they arose
+        self.controls: list[Union[NackPacket, CongestionSignal]] = []
         self.nacks_sent = 0
+        self.congestion_signals = 0
         self.duplicates_suppressed = 0
         self.dropped_low_priority = 0
         self.diverted = 0
         self.skipped_unrecoverable = 0
-        self._nacked_this_step: set[tuple[int, int]] = set()
+        self._nacked: set[tuple[int, int]] = set()  # (reporter, expected seq) this step
+        self._signalled: set[int] = set()  # reporters signalled this step
 
     def begin_step(self) -> None:
-        """Re-arm NACK generation; one NACK per (reporter, gap) per step."""
-        self._nacked_this_step.clear()
+        """Re-arm the damper: one NACK per (reporter, gap), one signal per reporter."""
+        self._nacked.clear()
+        self._signalled.clear()
 
     def expected_seq(self, reporter_id: int) -> int:
         return (self.last_applied.get(reporter_id, 0) + 1) & _SEQ_MASK
 
-    def _nack(self, reporter_id: int) -> ReceiveVerdict:
-        """NACK verdict, dampened so one gap NACKs at most once per step.
-
-        A suppressed repeat still aborts the packet's processing; ``nack`` is
-        None then and nothing goes on the wire.
-        """
+    def _nack(self, reporter_id: int) -> bool:
+        """Queue a NACK for the reporter's gap unless one went this step; never apply."""
         expected = self.expected_seq(reporter_id)
         key = (reporter_id, expected)
-        if key in self._nacked_this_step:
-            return ReceiveVerdict(Decision.NACK)
-        self._nacked_this_step.add(key)
-        self.nacks_sent += 1
-        return ReceiveVerdict(Decision.NACK, nack=NackPacket(reporter_id, expected))
+        if key not in self._nacked:
+            self._nacked.add(key)
+            self.nacks_sent += 1
+            self.controls.append(NackPacket(reporter_id, expected))
+        return False
 
     def handle_seq_reset(self, reset: SeqResetPacket) -> None:
         """Skip ahead to ``new_expected``, counting the skipped reports as lost.
@@ -216,44 +197,48 @@ class TranslatorFlowState:
             self.skipped_unrecoverable += skipped
             self.last_applied[reset.reporter_id] = (reset.new_expected - 1) & _SEQ_MASK
 
-    def receive(self, packet: DtaPacket, verb_cost: int) -> ReceiveVerdict:
-        """Decide one report's fate; PROCESS and DIVERT advance the sequence.
+    def receive(self, packet: DtaPacket, verb_cost: int) -> bool:
+        """Whether to apply one report now; applied and diverted ones advance the sequence.
 
         Diverted reports sit in translator memory and are applied later in
         order, so accepting them into the deferred queue is as good as
         applying them for loss-detection purposes.
         """
         essential = packet.flags & FLAG_ESSENTIAL
+        reporter_id = packet.reporter_id
         if essential:
             seq = packet.essential_seq
-            last = self.last_applied.get(packet.reporter_id, 0)
+            last = self.last_applied.get(reporter_id, 0)
             if seq != (last + 1) & _SEQ_MASK:
                 # serial distance from the expected sequence: the upper half
                 # of the 32-bit space is behind it, the lower half ahead
                 if (seq - last - 1) & _SEQ_MASK >= _SEQ_HALF:
                     self.duplicates_suppressed += 1
-                    return _DUPLICATE
-                return self._nack(packet.reporter_id)
-        elif 0 < ((packet.essential_seq - self.last_applied.get(packet.reporter_id, 0))
+                    return False
+                return self._nack(reporter_id)
+        elif 0 < ((packet.essential_seq - self.last_applied.get(reporter_id, 0))
                   & _SEQ_MASK) < _SEQ_HALF:
             # non-essential report reveals a gap in the essential substream
-            return self._nack(packet.reporter_id)
+            return self._nack(reporter_id)
 
         # while anything is deferred, later reports must queue behind it so
         # essential application order is preserved
         if self.deferred or not self.meter.try_consume(verb_cost):
-            signal = CongestionSignal(packet.reporter_id)
+            if reporter_id not in self._signalled:
+                self._signalled.add(reporter_id)
+                self.congestion_signals += 1
+                self.controls.append(CongestionSignal(reporter_id))
             if essential:
-                self.last_applied[packet.reporter_id] = packet.essential_seq
+                self.last_applied[reporter_id] = packet.essential_seq
                 self.deferred.append((packet, verb_cost))
                 self.diverted += 1
-                return ReceiveVerdict(Decision.DIVERT, congestion=signal)
-            self.dropped_low_priority += 1
-            return ReceiveVerdict(Decision.DROP_LOW_PRIORITY, congestion=signal)
+            else:
+                self.dropped_low_priority += 1
+            return False
 
         if essential:
-            self.last_applied[packet.reporter_id] = packet.essential_seq
-        return _PROCESS
+            self.last_applied[reporter_id] = packet.essential_seq
+        return True
 
     def drain_deferred(self) -> list[DtaPacket]:
         """Re-inject deferred reports that now fit under the meter, in order."""

@@ -4,8 +4,9 @@ Each step gives every reporter one emission opportunity (bounded by its
 current offered rate), passes the surviving packets through an independent
 Bernoulli loss draw per link direction, and lets the translator decode,
 flow-control, and translate them into verbs against the collector's queue
-pair.  Control packets (NACKs, congestion signals, sequence resets) ride the
-reverse direction of the reporter link and take effect the following step.
+pair.  NACKs and congestion signals ride the reverse direction of the reporter
+link and take effect the following step; sequence resets ride forward, as
+reports do.
 
 The translator-collector leg is loss-free by default (it is the one hop the
 architecture protects); a fault-injection knob drops verb packets there to
@@ -294,7 +295,8 @@ class Translator:
     def verb_cost(self, body: wire.Body) -> int:
         """Verbs one report, not a keepalive, costs the meter."""
         if type(body) in (wire.KeyWriteBody, wire.KeyIncrementBody):
-            return body.redundancy
+            # a store refuses a higher redundancy, so no more is charged
+            return min(body.redundancy, MAX_REDUNDANCY)
         if type(body) is wire.PostcardBody:
             return self.topology.pc.redundancy
         return 1
@@ -321,6 +323,17 @@ class Translator:
                                   list(body.values))
         return counters.sm_flush_completed(self.sketch_state, self.sketch_base,
                                            self.topology.sketch.w_batch)
+
+    def receive(self, raw: bytes) -> None:
+        """Decode, flow-control and apply one datagram; its controls wait on ``flow.controls``."""
+        packet = wire.decode(raw)
+        if isinstance(packet, wire.SeqResetPacket):
+            self.flow.handle_seq_reset(packet)
+            return
+        if flowctl.is_keepalive(packet.body):
+            self.flow.receive(packet, 0)  # a probe for gaps, never applied
+        elif self.flow.receive(packet, self.verb_cost(packet.body)):
+            self.apply(packet)
 
     def apply(self, packet: wire.DtaPacket) -> None:
         if packet.essential:
@@ -446,7 +459,7 @@ class Simulation:
                 for control in rep.inbox:
                     if isinstance(control, wire.NackPacket):
                         rep.outbox.extend(rep.state.handle_nack(control))
-                    elif isinstance(control, wire.CongestionSignal):
+                    else:
                         rep.state.handle_congestion(control)
                 rep.inbox.clear()
 
@@ -461,10 +474,11 @@ class Simulation:
                 if not rep.queue_empty():
                     traffic_pending = True
 
-            if not traffic_pending and self._drained():
-                report.drained = True
-                break
             if not traffic_pending:
+                # a step that sent anything is delivered before the run can end
+                if not arrivals and self._drained():
+                    report.drained = True
+                    break
                 # keepalives expose tail loss: a trailing gap produces a NACK
                 drain_steps += 1
                 if drain_steps > self.MAX_DRAIN_STEPS:
@@ -482,6 +496,7 @@ class Simulation:
         report.unrecoverable = flow.skipped_unrecoverable
         report.retransmissions = sum(r.state.retransmissions for r in self.reporters)
         report.nacks_sent = flow.nacks_sent
+        report.congestion_signals = flow.congestion_signals
         report.duplicates_suppressed = flow.duplicates_suppressed
         report.diverted = flow.diverted
         report.dropped_low_priority = flow.dropped_low_priority
@@ -496,39 +511,27 @@ class Simulation:
         return report
 
     def _deliver(self, arrivals: list[bytes]) -> None:
+        """Carry a step's datagrams to the translator, then its controls back."""
         report = self.report
-        flow = self.translator.flow
         loss_fwd = self.topology.link.loss_to_translator
         loss_rev = self.topology.link.loss_to_reporter
-        signalled: set[int] = set()
+        receive = self.translator.receive
         for raw in arrivals:
             if loss_fwd and self._fwd_rng.random() < loss_fwd:
                 report.packets_lost += 1
-                continue
-            packet = wire.decode(raw)
-            if isinstance(packet, wire.SeqResetPacket):
-                flow.handle_seq_reset(packet)
-                continue
-            keepalive = flowctl.is_keepalive(packet.body)
-            cost = 0 if keepalive else self.translator.verb_cost(packet.body)
-            verdict = flow.receive(packet, cost)
-            if verdict.decision is flowctl.Decision.PROCESS:
-                if not keepalive:
-                    self.translator.apply(packet)
-            elif verdict.decision is flowctl.Decision.NACK and verdict.nack is not None:
-                # NACKs ride the lossy reverse link
-                if loss_rev and self._rev_rng.random() < loss_rev:
+            else:
+                receive(raw)
+        controls = self.translator.flow.controls
+        for control in controls:
+            if loss_rev and self._rev_rng.random() < loss_rev:
+                if isinstance(control, wire.NackPacket):
                     report.nacks_lost += 1
-                else:
-                    self.reporters[packet.reporter_id].inbox.append(verdict.nack)
-            if verdict.congestion is not None and packet.reporter_id not in signalled:
-                signalled.add(packet.reporter_id)
-                report.congestion_signals += 1
-                if not (loss_rev and self._rev_rng.random() < loss_rev):
-                    self.reporters[packet.reporter_id].inbox.append(verdict.congestion)
+            else:
+                self.reporters[control.reporter_id].inbox.append(control)
+        controls.clear()
 
     def _reporter_drained(self, rep: _Reporter) -> bool:
-        if rep.inbox or not rep.queue_empty():
+        if not rep.queue_empty():  # its inbox was read this step
             return False
         if not self.workload.essential:
             return True

@@ -1,12 +1,13 @@
-"""Bit-exact encoding of report packets and the reverse-direction controls.
+"""Bit-exact encoding of report packets and the control packets.
 
 A report travels reporter -> translator as a UDP-style datagram: a 6-octet
 envelope (ports + total length), a one-octet version/kind field, flags, the
 32-bit reporter id, the 32-bit essential-report counter, then a kind-specific
 sub-header and telemetry payload.  All multi-octet fields are big-endian.
-Three control kinds flow translator -> reporter: loss NACKs, congestion
-signals, and the sequence-reset a reporter issues when a NACKed report has
-already been evicted from its backlog.
+Two control kinds flow translator -> reporter: loss NACKs and congestion
+signals.  A third, the sequence reset, flows reporter -> translator as a
+report does; a reporter sends it when a NACKed report has already been
+evicted from its backlog.
 
 ``LAYOUT`` is the one place the formats live: for each kind, its fixed fields
 after the envelope and version/kind octet, by name and struct code.  encode

@@ -29,7 +29,8 @@ def test_bounds_json_postcard_model(capsys):
 
 
 @pytest.mark.parametrize("extra", [["--hops", "0"], ["--hops", "5", "--value-bits", "-1"],
-                                   ["--exact-m", "0"]], ids=["hops", "value-bits", "exact-m"])
+                                   ["--exact-m", "0"], ["--hops", "5", "--exact-m", "8"]],
+                         ids=["hops", "value-bits", "exact-m", "hops-exact-m"])
 def test_bounds_refuses_a_bad_model_without_a_traceback(capsys, extra):
     assert run_cli("bounds", "--N", "2", "--b", "32", "--alpha", "0.1", *extra) == 1
     captured = capsys.readouterr()

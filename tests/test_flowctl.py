@@ -1,12 +1,8 @@
-from dataclasses import FrozenInstanceError
-
 import pytest
 
-from dta import flowctl
 from dta.flowctl import (
     DEFAULT_BACKLOG_CAPACITY,
     KEEPALIVE_LIST_ID,
-    Decision,
     ReporterState,
     TokenBucket,
     TranslatorFlowState,
@@ -63,9 +59,9 @@ def test_in_order_sequence_processes():
     rep = ReporterState(0)
     for _ in range(3):
         packet = decode(rep.send(REPORT, ESSENTIAL))
-        assert flow.receive(packet, 1).decision is Decision.PROCESS
+        assert flow.receive(packet, 1) is True
     assert flow.last_applied[0] == 3
-    assert flow.nacks_sent == 0
+    assert flow.nacks_sent == 0 and flow.controls == []
 
 
 def test_gap_triggers_nack_and_aborts_processing():
@@ -73,10 +69,9 @@ def test_gap_triggers_nack_and_aborts_processing():
     rep = ReporterState(0)
     first = decode(rep.send(REPORT, ESSENTIAL))
     third_octets = [rep.send(REPORT, ESSENTIAL) for _ in range(2)][1]
-    assert flow.receive(first, 1).decision is Decision.PROCESS
-    verdict = flow.receive(decode(third_octets), 1)
-    assert verdict.decision is Decision.NACK
-    assert verdict.nack == NackPacket(0, 2)
+    assert flow.receive(first, 1) is True
+    assert flow.receive(decode(third_octets), 1) is False
+    assert flow.controls == [NackPacket(0, 2)]
     assert flow.last_applied[0] == 1  # seq 3 was not applied
 
 
@@ -85,23 +80,23 @@ def test_nack_dampened_within_a_step():
     rep = ReporterState(0)
     rep.send(REPORT, ESSENTIAL)  # seq 1 lost
     later = [decode(rep.send(REPORT, ESSENTIAL)) for _ in range(5)]
-    flow.receive(decode(rep.send(REPORT, ESSENTIAL)), 1)  # establish gap? no: seq 7 > 1
-    nacks = [flow.receive(p, 1) for p in later]
-    with_wire = [v for v in nacks if v.nack is not None]
-    assert all(v.decision is Decision.NACK for v in nacks)
-    assert len(with_wire) == 0  # first arrival already nacked this step
+    assert flow.receive(decode(rep.send(REPORT, ESSENTIAL)), 1) is False  # seq 7: NACK 1
+    assert [flow.receive(p, 1) for p in later] == [False] * 5
+    assert flow.controls == [NackPacket(0, 1)]  # the gap was already NACKed this step
+    assert flow.nacks_sent == 1
     flow.begin_step()
-    verdict = flow.receive(later[0], 1)
-    assert verdict.nack is not None  # re-armed next step
+    assert flow.receive(later[0], 1) is False
+    assert flow.controls == [NackPacket(0, 1)] * 2  # re-armed next step
+    assert flow.nacks_sent == 2
 
 
 def test_duplicate_retransmissions_suppressed():
     flow = TranslatorFlowState()
     rep = ReporterState(0)
     packet = decode(rep.send(REPORT, ESSENTIAL))
-    assert flow.receive(packet, 1).decision is Decision.PROCESS
-    assert flow.receive(packet, 1).decision is Decision.DUPLICATE
-    assert flow.duplicates_suppressed == 1
+    assert flow.receive(packet, 1) is True
+    assert flow.receive(packet, 1) is False
+    assert flow.duplicates_suppressed == 1 and flow.controls == []
 
 
 def test_non_essential_report_reveals_gap():
@@ -110,9 +105,8 @@ def test_non_essential_report_reveals_gap():
     rep.send(REPORT, ESSENTIAL)  # lost
     heartbeat = decode(rep.heartbeat())
     assert is_keepalive(heartbeat.body)
-    verdict = flow.receive(heartbeat, 0)
-    assert verdict.decision is Decision.NACK
-    assert verdict.nack == NackPacket(0, 1)
+    assert flow.receive(heartbeat, 0) is False
+    assert flow.controls == [NackPacket(0, 1)]
 
 
 def test_keepalive_is_exactly_the_reserved_empty_append():
@@ -120,12 +114,6 @@ def test_keepalive_is_exactly_the_reserved_empty_append():
     assert not is_keepalive(AppendBody(KEEPALIVE_LIST_ID, b"x"))
     assert not is_keepalive(AppendBody(0, b""))
     assert not is_keepalive(KeyWriteBody(2, b"key0", b""))
-
-
-def test_shared_verdicts_are_frozen():
-    for shared in (flowctl._PROCESS, flowctl._DUPLICATE):
-        with pytest.raises(FrozenInstanceError):
-            shared.decision = Decision.NACK
 
 
 def test_go_back_n_resends_from_expected():
@@ -155,7 +143,7 @@ def test_translator_skips_after_seq_reset():
     rep = ReporterState(0)
     rep.essential_seq = 3
     packet = decode(rep.send(REPORT, ESSENTIAL))  # seq 4
-    assert flow.receive(packet, 1).decision is Decision.PROCESS
+    assert flow.receive(packet, 1) is True
 
 
 def test_meter_processes_and_diverts_per_budget():
@@ -163,13 +151,11 @@ def test_meter_processes_and_diverts_per_budget():
     flow = TranslatorFlowState(TokenBucket(rate=10, burst=10, tokens=10))
     rep = ReporterState(0)
     body = KeyWriteBody(2, b"key0", b"val0")
-    decisions = []
-    for _ in range(25):
-        packet = decode(rep.send(body, ESSENTIAL))
-        decisions.append(flow.receive(packet, 2).decision)
-    assert decisions.count(Decision.PROCESS) == 5
-    assert decisions.count(Decision.DIVERT) == 20
+    applied = [flow.receive(decode(rep.send(body, ESSENTIAL)), 2) for _ in range(25)]
+    assert applied == [True] * 5 + [False] * 20
+    assert flow.diverted == 20
     assert flow.last_applied[0] == 25  # diverted reports are sequenced
+    assert flow.controls == [CongestionSignal(0)]  # one per reporter per step
 
     drained = 0
     for _ in range(10):  # offered load stops; the queue drains 5 per step
@@ -196,9 +182,9 @@ def test_full_bucket_admits_a_report_above_its_burst_and_repays_the_debt():
 def test_non_essential_dropped_when_saturated():
     flow = TranslatorFlowState(TokenBucket(rate=1, burst=1, tokens=0))
     packet = DtaPacket(AppendBody(0, b"\x00" * 4), 0, 0, make_flags())
-    verdict = flow.receive(packet, 1)
-    assert verdict.decision is Decision.DROP_LOW_PRIORITY
-    assert verdict.congestion == CongestionSignal(0)
+    assert flow.receive(packet, 1) is False
+    assert flow.dropped_low_priority == 1
+    assert flow.controls == [CongestionSignal(0)] and flow.congestion_signals == 1
 
 
 def test_ordering_preserved_behind_deferred_queue():
@@ -206,21 +192,31 @@ def test_ordering_preserved_behind_deferred_queue():
     rep = ReporterState(0)
     first = decode(rep.send(REPORT, ESSENTIAL))
     second = decode(rep.send(REPORT, ESSENTIAL))
-    assert flow.receive(first, 2).decision is Decision.DIVERT
+    assert flow.receive(first, 2) is False
     flow.meter.step()  # room for one report now
     # second must still queue behind first, not jump ahead
-    assert flow.receive(second, 2).decision is Decision.DIVERT
+    assert flow.receive(second, 2) is False
+    assert flow.diverted == 2
     assert [p.essential_seq for p, _ in flow.deferred] == [1, 2]
 
 
 def test_aimd_halves_once_per_step_and_recovers():
+    """Two over-budget reports in one step queue one signal; the reporter halves once."""
+    flow = TranslatorFlowState(TokenBucket(rate=1, burst=1, tokens=0))
     rep = ReporterState(0, initial_rate=64)
-    rep.handle_congestion(CongestionSignal(0))
-    rep.handle_congestion(CongestionSignal(0))
+    over_budget = [DtaPacket(REPORT, reporter, 0, make_flags()) for reporter in (0, 0, 1)]
+    assert [flow.receive(p, 1) for p in over_budget] == [False] * 3
+    assert flow.controls == [CongestionSignal(0), CongestionSignal(1)]
+    rep.handle_congestion(flow.controls[0])
     assert rep.rate == 32
     rep.step()
     assert rep.rate == 33
-    rep.handle_congestion(CongestionSignal(0))
+    flow.controls.clear()
+    flow.begin_step()  # re-armed: the same two reports queue another signal
+    assert [flow.receive(p, 1) for p in over_budget[:2]] == [False] * 2
+    assert flow.controls == [CongestionSignal(0)]
+    assert flow.congestion_signals == 3 and flow.dropped_low_priority == 5
+    rep.handle_congestion(flow.controls[0])
     assert rep.rate == 16.5
 
 
@@ -276,12 +272,12 @@ def test_translator_follows_the_sequence_across_the_wrap():
     rep = ReporterState(0)
     rep.essential_seq = 2**32 - 1
     first = decode(rep.send(REPORT, ESSENTIAL))  # seq 0
-    assert flow.receive(first, 1).decision is Decision.PROCESS
-    assert flow.receive(first, 1).decision is Decision.DUPLICATE
+    assert flow.receive(first, 1) is True
+    assert flow.receive(first, 1) is False
+    assert flow.duplicates_suppressed == 1
     flow.handle_seq_reset(SeqResetPacket(0, 2**32 - 5))  # behind: ignored
     assert flow.last_applied[0] == 0 and flow.skipped_unrecoverable == 2
     rep.send(REPORT, ESSENTIAL)  # seq 1, lost
     ahead = decode(rep.send(REPORT, ESSENTIAL))  # seq 2
-    verdict = flow.receive(ahead, 1)
-    assert verdict.decision is Decision.NACK
-    assert verdict.nack == NackPacket(0, 1)
+    assert flow.receive(ahead, 1) is False
+    assert flow.controls == [NackPacket(0, 1)]

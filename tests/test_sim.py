@@ -83,6 +83,23 @@ def test_non_essential_loss_never_nacks():
     assert report.retransmissions == 0
 
 
+@pytest.mark.parametrize("rate", [16, float("inf")])  # inf: the whole run is one step
+@pytest.mark.parametrize("loss", [0.0, 0.02])
+@pytest.mark.parametrize("kind", [WorkloadKind.KW_FLOWS, WorkloadKind.APPEND_EVENTS],
+                         ids=lambda k: k.value)
+def test_non_essential_run_accounts_for_every_report(kind, loss, rate):
+    """Each report is applied, refused, lost or dropped, the last step's included."""
+    topo = Topology(reporters=2, link=LinkConfig(loss, loss),
+                    translator=TranslatorConfig(meter_rate=8, meter_burst=8))
+    wl = Workload(kind, reports=300, essential=False, reports_per_step=rate)
+    report = sim.run(topo, wl, seed=5)
+    assert report.drained and report.keepalives == 0
+    assert report.packets_sent == report.reports_offered
+    assert report.dropped_low_priority > 0 and (report.packets_lost > 0) == (loss > 0)
+    assert (report.reports_applied + report.reports_refused + report.packets_lost
+            + report.dropped_low_priority) == report.reports_offered
+
+
 def test_fault_injection_desyncs_collector_qp():
     clean = Topology(reporters=1, link=LinkConfig(0.02, 0.02))
     wl = Workload(kind=WorkloadKind.KW_FLOWS, reports=500, reports_per_step=64)
@@ -193,11 +210,14 @@ def test_a_report_costlier_than_the_meter_burst_still_drains():
     report = sim.run(topo, wl, seed=3)
     assert report.reports_applied == 20 and report.diverted > 0
     assert report.drained and report.exactly_once_ok
-    # a refused report is charged its wire redundancy first, here 255 verbs
+    clean_steps = report.steps
+    # the meter charges a wire redundancy of 255 as MAX_REDUNDANCY verbs, so
+    # the refused report holds up the valid ones behind it by a few steps only
     bodies.insert(7, wire.KeyWriteBody(255, bytes(8), bytes(4)))
     report = _sending(s, bodies).run()
     assert report.reports_applied == 20 and report.reports_refused == 1
     assert report.drained and report.exactly_once_ok
+    assert report.steps <= clean_steps + 5
 
 
 _KEY = bytes(8)
@@ -375,6 +395,28 @@ PINNED_RUNS = {
              reports_applied=500, keepalives=1, verbs_applied=976, verbs_faulted=24,
              qp_desyncs=24,
              memory_sha256="e2a2663eccba28748b268887151966d6b1505f167f2af4e8177c0ccf701f1e14"),
+    ),
+    # a meter below the offered load over lossy links: diversion, congestion
+    # signals and NACKs share the reverse link
+    "kw-flows-metered-lossy": (
+        Topology(reporters=3, link=LinkConfig(0.05, 0.05),
+                 translator=TranslatorConfig(meter_rate=20, meter_burst=40)),
+        Workload(WorkloadKind.KW_FLOWS, 600, reports_per_step=32),
+        dict(workload_kind="kw-flows", steps=65, reports_offered=600, packets_sent=823,
+             packets_lost=36, reports_applied=600, retransmissions=222, keepalives=1,
+             nacks_sent=30, nacks_lost=1, congestion_signals=82, diverted=267,
+             verbs_applied=1200,
+             memory_sha256="6be9dea14622064b160460cc46ddb43c769785f4f5c0b6bc8535689ae0a4e832"),
+    ),
+    # non-essential reports: the meter drops what it cannot take, nothing is resent
+    "append-events-non-essential": (
+        Topology(reporters=2, link=LinkConfig(0.02, 0.02),
+                 translator=TranslatorConfig(meter_rate=8, meter_burst=8)),
+        Workload(WorkloadKind.APPEND_EVENTS, 400, essential=False, reports_per_step=16),
+        dict(workload_kind="append-events", steps=48, reports_offered=400, packets_sent=400,
+             packets_lost=8, reports_applied=323, keepalives=0, congestion_signals=25,
+             dropped_low_priority=69, verbs_applied=78,
+             memory_sha256="f894699d53e5b30581b69bb32122f967c57e49384bb37e3cba66ef2e7ebaca7e"),
     ),
 }
 
