@@ -409,7 +409,7 @@ def pc_cache_pressure(cache_slots: int, concurrent_flows: int, hops: int,
     chunks, counting paths still stuck in the cache at the end as early.
     """
     family = HashFamily(seed)
-    cache = PostcardCache(cache_slots, hops, family)
+    cache = PostcardCache(cache_slots, hops, family, universe_size=1)  # every value is 0
     for r in range(rounds):
         for hop in range(hops):
             for f in range(concurrent_flows):

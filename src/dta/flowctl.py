@@ -16,6 +16,10 @@ the bucket runs dry, essential reports are diverted to a deferred queue
 a congestion signal asks the reporter to slow down; reporters respond by
 halving their offered rate and recovering additively.
 
+``ReporterState.emit`` is a reporter's one per-step path: it recovers the
+rate, reads the controls the translator sent back, and sends go-back-N
+resends and then new reports within the step's rate.
+
 ``TranslatorFlowState.receive`` answers whether a report is applied now, and
 queues each NACK and congestion signal it makes on ``controls``, in order, for
 the caller to send and clear.  One damper, re-armed by ``begin_step``, allows
@@ -84,7 +88,7 @@ class TokenBucket:
 
 
 class ReporterState:
-    """Per-reporter sending state: sequence stamping, backlog, offered rate."""
+    """One reporter: sequence stamping, backlog, offered rate and its per-step send path."""
 
     def __init__(self, reporter_id: int, backlog_capacity: int = DEFAULT_BACKLOG_CAPACITY,
                  initial_rate: float = float("inf")):
@@ -98,6 +102,9 @@ class ReporterState:
         self.rate = initial_rate
         self.evicted_unprotected = 0
         self.retransmissions = 0
+        self.pending: deque[Body] = deque()  # not yet stamped or sent
+        self.outbox: deque[bytes] = deque()  # go-back-N resends, ready for the link
+        self.inbox: list[Union[NackPacket, CongestionSignal]] = []  # from the translator
 
     def send(self, body: Body, flags: int) -> bytes:
         """Stamp and encode one report, keeping an essential one's octets in the backlog."""
@@ -143,10 +150,27 @@ class ReporterState:
         if self.rate != float("inf"):
             self.rate = max(AIMD_MIN_RATE, self.rate * AIMD_DECREASE_FACTOR)
 
-    def step(self) -> None:
-        """Advance one step: additive rate recovery."""
+    def emit(self, flags: int) -> list[bytes]:
+        """One step's datagrams: resends first, then new reports, within the step's rate.
+
+        The rate recovers before the inbox is read, so a signal read now halves the recovered rate.
+        """
         if self.rate != float("inf"):
             self.rate = min(self.max_rate, self.rate + AIMD_INCREASE_PER_STEP)
+        for control in self.inbox:
+            if isinstance(control, NackPacket):
+                self.outbox.extend(self.handle_nack(control))
+            else:
+                self.handle_congestion(control)
+        self.inbox.clear()
+        budget = self.rate
+        out: list[bytes] = []
+        outbox, pending = self.outbox, self.pending
+        while outbox and len(out) + 1 <= budget:
+            out.append(outbox.popleft())
+        while pending and len(out) + 1 <= budget:
+            out.append(self.send(pending.popleft(), flags))
+        return out
 
 
 class TranslatorFlowState:

@@ -28,7 +28,6 @@ from typing import Optional
 from .hashing import BLANK, MAX_REDUNDANCY, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
 from .memstore import MemoryRegion, Write
 
-DEFAULT_CACHE_SLOTS = 32768
 # plain ints: an enum member costs a lookup per call
 _PC_CHUNK = int(Domain.PC_CHUNK)
 _PC_HOP_CSUM = int(Domain.PC_HOP_CSUM)
@@ -130,14 +129,12 @@ class PostcardCache:
     its partial chunk early.
     """
 
-    def __init__(self, slots: int = DEFAULT_CACHE_SLOTS, hops: int = 5,
-                 family: Optional[HashFamily] = None,
-                 universe_size: Optional[int] = None):
+    def __init__(self, slots: int, hops: int, family: HashFamily, universe_size: int):
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         self.slots = slots
         self.hops = hops
-        self.family = family or HashFamily()
+        self.family = family
         self.universe_size = universe_size
         self._rows: list[Optional[_CacheRow]] = [None] * slots
         self.complete_emissions = 0
@@ -175,7 +172,7 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
     """
     if not 0 <= hop < cache.hops:
         raise HopOutOfRange(f"hop {hop} outside [0, {cache.hops})")
-    if cache.universe_size is not None and not 0 <= value < cache.universe_size:
+    if not 0 <= value < cache.universe_size:
         raise ValueOutsideUniverse(f"{value!r} outside [0, {cache.universe_size})")
     if path_len is not None and not 1 <= path_len <= cache.hops:
         raise ValueError(f"path_len must be in [1, {cache.hops}], got {path_len}")

@@ -1,28 +1,28 @@
-"""Deterministic step-driven harness: reporters, lossy links, translator, collector.
+"""Deterministic step-driven harness: the links and the run loop.
 
-Each step gives every reporter one emission opportunity (bounded by its
-current offered rate), passes the surviving packets through an independent
-Bernoulli loss draw per link direction, and lets the translator decode,
-flow-control, and translate them into verbs against the collector's queue
-pair.  NACKs and congestion signals ride the reverse direction of the reporter
-link and take effect the following step; sequence resets ride forward, as
-reports do.
+Each step every reporter emits its datagrams (``flowctl.ReporterState.emit``:
+resends, then new reports, within its current offered rate); the run loop
+passes them through an independent Bernoulli loss draw per link direction,
+and the translator decodes, flow-controls, and translates them into verbs
+against the collector's queue pair.  NACKs and congestion signals ride the
+reverse direction of the reporter link into the reporter's inbox and take
+effect the following step; sequence resets ride forward, as reports do.
 
 The translator-collector leg is loss-free by default (it is the one hop the
 architecture protects); a fault-injection knob drops verb packets there to
 demonstrate queue-pair desynchronization.  After the offered load is
 exhausted, reporters send keepalives until every essential report is either
 applied or established as unrecoverable, so loss recovery always runs to
-completion.  All randomness derives from the single run seed: identical
-(topology, workload, seed) produce identical reports and identical collector
-memory.
+completion; ``MAX_DRAIN_STEPS`` such steps in a row that settle no report end
+the run undrained.  All randomness derives from the single run seed:
+identical (topology, workload, seed) produce identical reports and identical
+collector memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from enum import Enum
 from typing import Optional
@@ -271,7 +271,7 @@ class Translator:
             family=self.family, base=layout["pc"],
         )
         self.pc_cache = postcarding.PostcardCache(
-            t.pc.cache_slots, t.pc.hops, self.family, universe_size=2 ** t.pc.value_bits
+            t.pc.cache_slots, t.pc.hops, self.family, 2 ** t.pc.value_bits
         )
         self.append_engine = append_mod.AppendEngine(t.append.batch_size)
         for i in range(t.append.lists):
@@ -352,22 +352,6 @@ class Translator:
         self.report.reports_applied += 1
 
 
-class _Reporter:
-    """One reporter's send queue plus its flow-control state."""
-
-    def __init__(self, reporter_id: int, topology: Topology, workload: Workload):
-        self.state = flowctl.ReporterState(
-            reporter_id, topology.backlog_capacity,
-            initial_rate=workload.reports_per_step,
-        )
-        self.pending_bodies: deque = deque()  # not yet stamped/sent
-        self.outbox: deque[bytes] = deque()  # stamped, ready for the link
-        self.inbox: list = []  # controls from the translator
-
-    def queue_empty(self) -> bool:
-        return not self.pending_bodies and not self.outbox
-
-
 def _generate_bodies(topology: Topology, workload: Workload, reporter_id: int,
                      count: int, rng: random.Random) -> list:
     t, w = topology, workload
@@ -424,27 +408,29 @@ class Simulation:
         self._rev_rng = random.Random(f"{seed}:rev")
         self.translator = Translator(topology, self.report,
                                      random.Random(f"{seed}:fault"))
-        self.reporters = [_Reporter(r, topology, workload)
+        self.reporters = [flowctl.ReporterState(r, topology.backlog_capacity,
+                                                initial_rate=workload.reports_per_step)
                           for r in range(topology.reporters)]
         for rep in self.reporters:
             if workload.kind is WorkloadKind.SKETCH_COLUMNS:
                 share = topology.sketch.cols  # every reporter ships its whole sketch
             else:
                 share = workload.reports // topology.reporters + (
-                    1 if rep.state.reporter_id < workload.reports % topology.reporters else 0
+                    1 if rep.reporter_id < workload.reports % topology.reporters else 0
                 )
-            rep.pending_bodies = deque(_generate_bodies(
-                topology, workload, rep.state.reporter_id, share,
-                random.Random(f"{seed}:wl:{rep.state.reporter_id}"),
+            rep.pending.extend(_generate_bodies(
+                topology, workload, rep.reporter_id, share,
+                random.Random(f"{seed}:wl:{rep.reporter_id}"),
             ))
-            self.report.reports_offered += len(rep.pending_bodies)
+            self.report.reports_offered += len(rep.pending)
 
     def run(self, dump_path=None) -> RunReport:
         report = self.report
         flow = self.translator.flow
         flags = wire.make_flags(essential=self.workload.essential)
         steps = 0
-        drain_steps = 0
+        drain_steps = 0  # drain steps in a row that settled no report
+        settled = 0
         while True:
             steps += 1
             flow.meter.step()
@@ -453,48 +439,36 @@ class Simulation:
                 self.translator.apply(packet)
 
             arrivals: list[bytes] = []
-            traffic_pending = False
             for rep in self.reporters:
-                rep.state.step()
-                for control in rep.inbox:
-                    if isinstance(control, wire.NackPacket):
-                        rep.outbox.extend(rep.state.handle_nack(control))
-                    else:
-                        rep.state.handle_congestion(control)
-                rep.inbox.clear()
-
-                budget = rep.state.rate
-                sent = 0
-                while rep.outbox and sent + 1 <= budget:
-                    arrivals.append(rep.outbox.popleft())
-                    sent += 1
-                while rep.pending_bodies and sent + 1 <= budget:
-                    arrivals.append(rep.state.send(rep.pending_bodies.popleft(), flags))
-                    sent += 1
-                if not rep.queue_empty():
-                    traffic_pending = True
+                arrivals += rep.emit(flags)
+            traffic_pending = any(rep.pending or rep.outbox for rep in self.reporters)
 
             if not traffic_pending:
                 # a step that sent anything is delivered before the run can end
                 if not arrivals and self._drained():
                     report.drained = True
                     break
-                # keepalives expose tail loss: a trailing gap produces a NACK
-                drain_steps += 1
-                if drain_steps > self.MAX_DRAIN_STEPS:
+                # the cap stops loss recovery that cannot finish, not a
+                # deferred queue that is still draining
+                if drain_steps >= self.MAX_DRAIN_STEPS:
                     break
+                # keepalives expose tail loss: a trailing gap produces a NACK
                 for rep in self.reporters:
-                    if self._reporter_drained(rep):
-                        continue
-                    arrivals.append(rep.state.heartbeat())
-                    report.keepalives += 1
+                    if not self._reporter_drained(rep):
+                        arrivals.append(rep.heartbeat())
+                        report.keepalives += 1
 
             report.packets_sent += len(arrivals)
             self._deliver(arrivals)
+            if report.reports_applied + report.reports_refused != settled:
+                settled = report.reports_applied + report.reports_refused
+                drain_steps = 0
+            elif not traffic_pending:
+                drain_steps += 1
 
         report.steps = steps
         report.unrecoverable = flow.skipped_unrecoverable
-        report.retransmissions = sum(r.state.retransmissions for r in self.reporters)
+        report.retransmissions = sum(r.retransmissions for r in self.reporters)
         report.nacks_sent = flow.nacks_sent
         report.congestion_signals = flow.congestion_signals
         report.duplicates_suppressed = flow.duplicates_suppressed
@@ -530,13 +504,11 @@ class Simulation:
                 self.reporters[control.reporter_id].inbox.append(control)
         controls.clear()
 
-    def _reporter_drained(self, rep: _Reporter) -> bool:
-        if not rep.queue_empty():  # its inbox was read this step
-            return False
+    def _reporter_drained(self, rep: flowctl.ReporterState) -> bool:
+        """Whether every essential report it sent is settled; asked only once it has sent all."""
         if not self.workload.essential:
             return True
-        return (self.translator.flow.last_applied.get(rep.state.reporter_id, 0)
-                == rep.state.essential_seq)
+        return self.translator.flow.last_applied.get(rep.reporter_id, 0) == rep.essential_seq
 
     def _drained(self) -> bool:
         return (not self.translator.flow.deferred

@@ -209,7 +209,7 @@ def test_aimd_halves_once_per_step_and_recovers():
     assert flow.controls == [CongestionSignal(0), CongestionSignal(1)]
     rep.handle_congestion(flow.controls[0])
     assert rep.rate == 32
-    rep.step()
+    assert rep.emit(0) == []
     assert rep.rate == 33
     flow.controls.clear()
     flow.begin_step()  # re-armed: the same two reports queue another signal
@@ -218,6 +218,53 @@ def test_aimd_halves_once_per_step_and_recovers():
     assert flow.congestion_signals == 3 and flow.dropped_low_priority == 5
     rep.handle_congestion(flow.controls[0])
     assert rep.rate == 16.5
+
+
+def test_emit_sends_resends_before_new_reports_within_one_budget():
+    rep = ReporterState(0, initial_rate=3)
+    sent = [rep.send(REPORT, ESSENTIAL) for _ in range(3)]
+    rep.pending.extend([REPORT] * 4)
+    rep.inbox.append(NackPacket(0, 2))
+    out = rep.emit(ESSENTIAL)
+    assert out[:2] == sent[1:]  # go-back-N from sequence 2, resends first
+    assert [decode(o).essential_seq for o in out] == [2, 3, 4]  # then one new report
+    assert len(rep.pending) == 3 and not rep.outbox
+    assert rep.retransmissions == 2
+
+
+def test_emit_carries_unsent_resends_to_the_next_step():
+    rep = ReporterState(0, initial_rate=1)
+    sent = [rep.send(REPORT, ESSENTIAL) for _ in range(3)]
+    rep.pending.append(REPORT)
+    rep.inbox.append(NackPacket(0, 1))
+    assert rep.emit(ESSENTIAL) == sent[:1]
+    assert list(rep.outbox) == sent[1:] and len(rep.pending) == 1
+
+
+def test_emit_recovers_the_rate_before_a_congestion_signal_halves_it():
+    rep = ReporterState(0, initial_rate=8)
+    rep.rate = 4
+    rep.pending.extend([REPORT] * 10)
+    rep.inbox.append(CongestionSignal(0))
+    assert len(rep.emit(ESSENTIAL)) == 2  # (4 + 1) / 2 = 2.5 reports
+    assert rep.rate == 2.5
+
+
+def test_emit_reads_the_inbox_once():
+    rep = ReporterState(0, initial_rate=8)
+    rep.send(REPORT, ESSENTIAL)
+    rep.inbox += [NackPacket(0, 1), CongestionSignal(0)]
+    assert len(rep.emit(ESSENTIAL)) == 1
+    assert rep.inbox == [] and rep.rate == 4
+    assert rep.emit(ESSENTIAL) == []  # the NACK is not answered twice
+    assert rep.retransmissions == 1 and rep.rate == 5
+
+
+def test_emit_below_one_report_per_step_sends_nothing():
+    rep = ReporterState(0, initial_rate=0.5)
+    rep.pending.append(REPORT)
+    assert rep.emit(ESSENTIAL) == []
+    assert rep.essential_seq == 0 and len(rep.pending) == 1
 
 
 def test_meter_conservation():

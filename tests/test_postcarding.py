@@ -130,7 +130,7 @@ def ref_pc_query(store, flow_id, n_redundancy):
 
 
 def test_complete_path_emits_once_no_blanks():
-    cache = PostcardCache(slots=16, hops=B)
+    cache = PostcardCache(slots=16, hops=B, family=HashFamily(SEED), universe_size=2 ** 10)
     emitted = []
     for hop in range(B):
         emitted += pc_ingest(cache, 42, hop, value=hop + 1)
@@ -142,7 +142,7 @@ def test_complete_path_emits_once_no_blanks():
 
 
 def test_short_path_emits_at_declared_length():
-    cache = PostcardCache(slots=16, hops=B)
+    cache = PostcardCache(slots=16, hops=B, family=HashFamily(SEED), universe_size=2 ** 10)
     assert pc_ingest(cache, 7, 0, 11, path_len=2) == []
     emitted = pc_ingest(cache, 7, 1, 22, path_len=2)
     assert len(emitted) == 1
@@ -150,7 +150,7 @@ def test_short_path_emits_at_declared_length():
 
 
 def test_collision_evicts_partial_chunk():
-    cache = PostcardCache(slots=1, hops=B)
+    cache = PostcardCache(slots=1, hops=B, family=HashFamily(SEED), universe_size=2 ** 10)
     assert pc_ingest(cache, 1, 0, 10) == []
     emitted = pc_ingest(cache, 2, 0, 20)
     assert len(emitted) == 1
@@ -160,7 +160,7 @@ def test_collision_evicts_partial_chunk():
 
 
 def test_eviction_plus_completion_in_one_arrival():
-    cache = PostcardCache(slots=1, hops=B)
+    cache = PostcardCache(slots=1, hops=B, family=HashFamily(SEED), universe_size=2 ** 10)
     pc_ingest(cache, 1, 0, 10)
     emitted = pc_ingest(cache, 2, 0, 20, path_len=1)
     assert [c.flow_id for c in emitted] == [1, 2]
@@ -168,7 +168,7 @@ def test_eviction_plus_completion_in_one_arrival():
 
 
 def test_ingest_validation():
-    cache = PostcardCache(slots=4, hops=B, universe_size=16)
+    cache = PostcardCache(slots=4, hops=B, family=HashFamily(SEED), universe_size=16)
     with pytest.raises(HopOutOfRange):
         pc_ingest(cache, 1, B, 0)
     with pytest.raises(ValueOutsideUniverse):

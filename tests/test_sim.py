@@ -27,7 +27,7 @@ def test_zero_loss_kw_run_applies_everything_and_answers_queries():
     topo = Topology(reporters=1)
     wl = Workload(kind=WorkloadKind.KW_FLOWS, reports=100)
     s = Simulation(topo, wl, seed=1)
-    bodies = list(s.reporters[0].pending_bodies)
+    bodies = list(s.reporters[0].pending)
     report = s.run()
     assert report.reports_applied == 100
     assert report.packets_lost == 0
@@ -135,7 +135,7 @@ def test_postcard_run_aggregates_paths():
     topo = Topology(reporters=1)
     wl = Workload(kind=WorkloadKind.POSTCARDS, reports=200, path_len_fixed=5)
     s = Simulation(topo, wl, seed=8)
-    bodies = list(s.reporters[0].pending_bodies)
+    bodies = list(s.reporters[0].pending)
     report = s.run()
     assert report.drained
     flows = {}
@@ -155,7 +155,7 @@ def test_ki_run_never_underestimates():
     s = Simulation(topo, wl, seed=6)
     exact = {}
     for rep in s.reporters:
-        for body in rep.pending_bodies:
+        for body in rep.pending:
             exact[body.key] = exact.get(body.key, 0) + body.delta
     s.run()
     from dta.counters import ki_query
@@ -168,7 +168,7 @@ def test_sketch_run_completes_and_matches_oracle():
     topo = Topology(reporters=3)
     wl = Workload(kind=WorkloadKind.SKETCH_COLUMNS)
     s = Simulation(topo, wl, seed=2)
-    per_reporter = [list(rep.pending_bodies) for rep in s.reporters]
+    per_reporter = [list(rep.pending) for rep in s.reporters]
     report = s.run()
     assert report.drained and report.exactly_once_ok
     state = s.translator.sketch_state
@@ -194,9 +194,33 @@ def test_meter_saturation_diverts_and_drains():
     assert report.drained and report.exactly_once_ok
 
 
+def _slow_meter_run(meter_rate: float) -> sim.RunReport:
+    topo = Topology(reporters=1,
+                    translator=TranslatorConfig(meter_rate=meter_rate, meter_burst=2))
+    wl = Workload(kind=WorkloadKind.KW_FLOWS, reports=600, reports_per_step=600)
+    return sim.run(topo, wl, seed=7)
+
+
+def test_a_slow_meter_drains_past_the_drain_step_cap():
+    """Steps that apply a deferred report do not count toward MAX_DRAIN_STEPS."""
+    report = _slow_meter_run(0.1)
+    assert report.steps == 11981 > Simulation.MAX_DRAIN_STEPS
+    assert report.diverted == 599 and report.reports_applied == 600
+    assert report.drained and report.exactly_once_ok
+
+
+def test_a_stalled_meter_stops_at_the_drain_step_cap():
+    report = _slow_meter_run(0.0)
+    # step 1 applies the one report the burst admits; the cap's worth of
+    # steps settles nothing after it, and the next step ends the run
+    assert report.steps == Simulation.MAX_DRAIN_STEPS + 2
+    assert report.reports_applied == 1 and report.diverted == 599
+    assert not report.drained and not report.exactly_once_ok
+
+
 def _sending(s: Simulation, bodies) -> Simulation:
     """``s`` with its first reporter sending exactly ``bodies``."""
-    s.reporters[0].pending_bodies = deque(bodies)
+    s.reporters[0].pending = deque(bodies)
     s.report.reports_offered = len(bodies)
     return s
 
@@ -206,7 +230,7 @@ def test_a_report_costlier_than_the_meter_burst_still_drains():
     topo = Topology(translator=TranslatorConfig(meter_rate=1, meter_burst=1))
     wl = Workload(kind=WorkloadKind.KW_FLOWS, reports=20)
     s = Simulation(topo, wl, seed=3)
-    bodies = list(s.reporters[0].pending_bodies)
+    bodies = list(s.reporters[0].pending)
     report = sim.run(topo, wl, seed=3)
     assert report.reports_applied == 20 and report.diverted > 0
     assert report.drained and report.exactly_once_ok
@@ -285,7 +309,7 @@ def test_refused_reports_leave_a_lossy_run_as_without_them(kind, data):
     wl = Workload(kind, reports=data.draw(st.integers(0, 40), label="reports"))
     seed = data.draw(st.integers(0, 2**16), label="seed")
     alone = Simulation(topo, wl, seed)
-    bodies = list(alone.reporters[0].pending_bodies)
+    bodies = list(alone.reporters[0].pending)
     bad = data.draw(st.lists(_BAD_BODIES[kind], min_size=1, max_size=6), label="bad")
     for body in bad:
         bodies.insert(data.draw(st.integers(0, len(bodies)), label="at"), body)
@@ -443,8 +467,8 @@ def test_sequence_wrap_leaves_the_run_unchanged(link, backlog):
     from_zero = sim.run(topo, wl, seed=29).to_dict()
     wrapping = Simulation(topo, wl, seed=29)
     for rep in wrapping.reporters:
-        rep.state.essential_seq = _WRAP_START
-        wrapping.translator.flow.last_applied[rep.state.reporter_id] = _WRAP_START
+        rep.essential_seq = _WRAP_START
+        wrapping.translator.flow.last_applied[rep.reporter_id] = _WRAP_START
     assert wrapping.run().to_dict() == from_zero
     assert from_zero["drained"] and from_zero["exactly_once_ok"]
     assert (from_zero["unrecoverable"] > 0) == (backlog == 4)
