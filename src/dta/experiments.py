@@ -329,14 +329,14 @@ def _suite_kw_longevity(params: dict, seed: int) -> list[dict]:
 # Postcarding
 
 
-_WORKLOAD = int(Domain.WORKLOAD)  # a plain int: an enum member costs a lookup per call
+_PC_STREAM = int(Domain.PC_STREAM)  # a plain int: an enum member costs a lookup per call
 
 
 def pc_stream_values(family: HashFamily, flow_id: int, hops: int,
                      universe: int) -> list[int]:
-    """Deterministic per-flow hop values, recomputable at query time."""
-    data, raw64 = flow_id.to_bytes(8, "big"), family.raw64
-    return [raw64(_WORKLOAD, hop, data) % universe for hop in range(hops)]
+    """Deterministic per-flow hop values, recomputable at query time: member
+    ``hop`` of ``PC_STREAM`` mod ``universe``, all from one ``members`` call."""
+    return [m % universe for m in family.members(_PC_STREAM, flow_id.to_bytes(8, "big"), hops)]
 
 
 def pc_monte_carlo(

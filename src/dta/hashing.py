@@ -3,9 +3,13 @@
 Every index computation in the system (key-value slots, chunk locations,
 checksums, value encodings, cache rows) must be reproducible on any host
 from the configured seed alone, so that queries can be answered statelessly.
-All functions here are keyed BLAKE2b truncated to 64 bits; independence
-between the members of the family comes from structured seeds
-(domain, index) mixed into the key.
+All functions here are keyed BLAKE2b; independence between the members of
+the family comes from structured seeds (domain, index) mixed into the key.
+``raw64`` gives one 64-bit member per 8-octet digest: Key-Write,
+Key-Increment, key checksums, cache rows and value codes take one call per
+member.  ``members`` gives 8 members of one domain per 64-octet digest, block
+k keyed by (seed, domain, k): Postcarding takes a flow's B hop checksums,
+then its N chunk copies, from one such call.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from functools import lru_cache
 from hashlib import blake2b
 from itertools import islice, repeat
 
-ALGORITHM_ID = "blake2b-64"
+ALGORITHM_ID = "blake2b-64+512"
 # most copies one report may ask for; the stores and sim.Topology refuse more
 MAX_REDUNDANCY = 4
 
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
 _DIGEST64 = struct.Struct(">Q")  # a digest read as a big-endian integer
+_DIGEST512 = struct.Struct(">8Q")  # a 64-octet digest read as 8 big-endian members
 
 
 class Domain(IntEnum):
@@ -36,13 +41,13 @@ class Domain(IntEnum):
     never renumbered or reused, so that no hash moves.
     """
 
+    # retired, values never reused: 3 KW_VALUE, 4 PC_CHUNK, 5 PC_HOP_CSUM, 7 KI_SLOT, 9 WORKLOAD
     KW_SLOT = 1
     KW_CSUM = 2
-    PC_CHUNK = 4
-    PC_HOP_CSUM = 5
     PC_VALUE = 6
     CACHE_SLOT = 8
-    WORKLOAD = 9
+    PC_FLOW = 10
+    PC_STREAM = 11
 
 
 class ValueOutsideUniverse(ValueError):
@@ -66,13 +71,15 @@ class HashFamily:
 
     ``raw64(domain, index, data)`` is a pure function of its arguments and
     ``seed_base``; two members with different (domain, index) behave as
-    independent functions.  Each member's keyed BLAKE2b state is built on
-    first use and kept, so a call copies it instead of keying a new one.
+    independent functions, and so do the members ``members`` reads.  Each
+    keyed BLAKE2b state is built on first use and kept, so a call copies it
+    instead of keying a new one.
     """
 
     def __init__(self, seed_base: int = 0):
         self.seed_base = seed_base & _MASK64
         self._states: dict[tuple[int, int], blake2b] = {}
+        self._blocks: dict[tuple[int, int], blake2b] = {}
 
     def __repr__(self) -> str:
         return f"HashFamily(seed_base={self.seed_base:#x}, {ALGORITHM_ID!r})"
@@ -95,6 +102,24 @@ class HashFamily:
             h = self._state(domain, index).copy()
         h.update(data)
         return _DIGEST64.unpack(h.digest())[0]
+
+    def members(self, domain: int, data: bytes, count: int) -> list[int]:
+        """The first ``count`` 64-bit members of ``domain`` for ``data``.
+
+        Block k holds members 8k to 8k + 7, read big-endian from one 64-octet
+        digest keyed by (seed_base, domain, k); a block is computed only when
+        ``count`` reaches it, so a shorter count gives a prefix of a longer one.
+        """
+        blocks, out = self._blocks, []
+        for k in range(-(-count // 8)):
+            state = blocks.get((domain, k))
+            if state is None:  # kept unused: each call updates a copy
+                state = blocks[domain, k] = blake2b(digest_size=64, key=self._key(domain, k))
+            h = state.copy()
+            h.update(data)
+            out += _DIGEST512.unpack(h.digest())
+        del out[count:]
+        return out
 
     def key_checksum(self, key: bytes, bits: int) -> int:
         """``bits``-wide checksum of a telemetry key (verifies query hits)."""

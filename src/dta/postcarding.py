@@ -13,6 +13,13 @@ of leading values followed only by BLANKs; with redundancy, the valid chunks
 must also agree.  Cells added to pad the chunk to a power-of-two size are
 written as zero and ignored by the validity rule.
 
+A flow's hash members come from one ``HashFamily.members`` call on
+``PC_FLOW`` with B + N members: the B hop checksums first (the top
+``cell_bits`` bits of each), then the N chunk copies (each mod ``chunks``),
+8 members per 64-octet digest.  At B = 5, N = 2 that is one digest per write and per
+query.  Members are prefix-stable, so a query at any N reads the same first
+copies that a write at another N used.
+
 A chunk is packed, and read back, as one little-endian integer whose cell i
 sits at bit ``i * cell_width``.  A store's geometry is fixed when it is
 built, which also checks that every chunk lies inside the region, so a
@@ -28,9 +35,7 @@ from typing import Optional
 from .hashing import BLANK, MAX_REDUNDANCY, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
 from .memstore import MemoryRegion, Write
 
-# plain ints: an enum member costs a lookup per call
-_PC_CHUNK = int(Domain.PC_CHUNK)
-_PC_HOP_CSUM = int(Domain.PC_HOP_CSUM)
+_PC_FLOW = int(Domain.PC_FLOW)  # a plain int: an enum member costs a lookup per call
 
 
 class HopOutOfRange(ValueError):
@@ -83,16 +88,19 @@ def _flow_key(flow_id: int) -> bytes:
     return flow_id.to_bytes(8, "big")
 
 
-def _hop_checksums(store: PostcardStore, fkey: bytes) -> list[int]:
-    """The cell_bits-wide checksum of each hop of a flow: member (PC_HOP_CSUM, hop)."""
-    raw64, shift = store.family.raw64, store.csum_shift
-    return [raw64(_PC_HOP_CSUM, hop, fkey) >> shift for hop in range(store.hops)]
+def _flow_layout(store: PostcardStore, flow_id: int,
+                 n_redundancy: int) -> tuple[list[int], list[int]]:
+    """A flow's hop checksums and the address of each of its N chunk copies.
 
-
-def _chunk_addresses(store: PostcardStore, fkey: bytes, n_redundancy: int) -> list[int]:
-    """Address of each redundancy copy j of a flow's chunk: member (PC_CHUNK, j)."""
-    raw64, base, chunks, stride = store.family.raw64, store.base, store.chunks, store.chunk_stride
-    return [base + raw64(_PC_CHUNK, j, fkey) % chunks * stride for j in range(n_redundancy)]
+    Members 0..B-1 of ``PC_FLOW`` give the checksums, members B..B+N-1 the copies.
+    """
+    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
+        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
+    hops, shift, base, chunks, stride = (store.hops, store.csum_shift, store.base,
+                                         store.chunks, store.chunk_stride)
+    members = store.family.members(_PC_FLOW, _flow_key(flow_id), hops + n_redundancy)
+    return ([m >> shift for m in members[:hops]],
+            [base + m % chunks * stride for m in members[hops:]])
 
 
 class EmissionReason(Enum):
@@ -202,17 +210,15 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
 
 def pc_write(store: PostcardStore, chunk: EmittedChunk, n_redundancy: int) -> list[Write]:
     """Translate an emitted chunk into its N contiguous chunk writes."""
-    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
-        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(chunk.cells) != store.hops:
         raise ValueError(f"chunk must carry exactly {store.hops} cells")
-    fkey = _flow_key(chunk.flow_id)
+    checksums, addresses = _flow_layout(store, chunk.flow_id, n_redundancy)
     codec, width = store.codec, store.cell_width
     word = 0
-    for i, (checksum, value) in enumerate(zip(_hop_checksums(store, fkey), chunk.cells)):
+    for i, (checksum, value) in enumerate(zip(checksums, chunk.cells)):
         word |= (checksum ^ codec.encode(BLANK if value is None else value)) << i * width
     payload = word.to_bytes(store.chunk_stride, "little")  # zero-pads the chunk
-    return [Write(at, payload) for at in _chunk_addresses(store, fkey, n_redundancy)]
+    return [Write(at, payload) for at in addresses]
 
 
 class PathOutcome(Enum):
@@ -255,14 +261,10 @@ def _decode_chunk(store: PostcardStore, checksums: list, word: int) -> Optional[
 
 def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQueryResult:
     """Read the flow's N chunks and report the path they agree on."""
-    if not 1 <= n_redundancy <= MAX_REDUNDANCY:
-        raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
-    fkey = _flow_key(flow_id)
-    checksums = _hop_checksums(store, fkey)
+    checksums, addresses = _flow_layout(store, flow_id, n_redundancy)
     buf, payload_len = store.region._buf, store.chunk_payload_len
     # intact copies hold the same octets, so each distinct chunk is decoded once
-    words = {int.from_bytes(buf[at:at + payload_len], "little")
-             for at in _chunk_addresses(store, fkey, n_redundancy)}
+    words = {int.from_bytes(buf[at:at + payload_len], "little") for at in addresses}
     paths = set()
     for word in words:
         decoded = _decode_chunk(store, checksums, word)

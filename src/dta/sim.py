@@ -154,6 +154,10 @@ class Workload:
             raise ConfigError("workload.reports", f"must be >= 0, got {self.reports}")
         if self.key_space < 1:
             raise ConfigError("workload.key_space", f"must be >= 1, got {self.key_space}")
+        # a reporter sends only once its step budget reaches 1; written so NaN fails too
+        if not self.reports_per_step >= 1:
+            raise ConfigError("workload.reports_per_step",
+                              f"must be >= 1, got {self.reports_per_step}")
 
 
 @dataclass

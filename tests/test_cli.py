@@ -198,6 +198,18 @@ def test_config_a_store_would_refuse_per_report_fails_run_and_validate(tmp_path,
         assert captured.err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("rate", [0.5, 0, float("nan")])
+def test_validate_refuses_sub_one_offered_rate(tmp_path, capsys, rate):
+    """Only ``validate``: a run at such a rate would never end if the check were gone."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"workload": {"kind": "kw-flows", "reports": 5,
+                                             "reports_per_step": rate}}))
+    assert run_cli("validate", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: workload.reports_per_step: ")
+
+
 @pytest.mark.parametrize("flag", ["--offset", "--length"])
 def test_dump_rejects_negative_offset_and_length(tmp_path, capsys, flag):
     dump = tmp_path / "memory.bin"

@@ -90,14 +90,14 @@ def test_every_suite_runs_and_roundtrips_csv(name):
 
 # sha256 of each suite's CSV at SMALL_PARAMS and seed 5
 PINNED_CSV_SHA256 = {
-    "append-bench": "416a09468a0e6cf4f8c32e90628be45e08811cf39c7b638a7e7c7c1625da8715",
-    "bounds": "5165ea19326fa8b1b5d0f13277aa34ed4ccd122caab0617affb7a26a3ea34a2f",
-    "flowctl-loss": "f3b3fd1c885ec6041320ae86544eae931131a75dca8d9a12abeaa83f3a4ac270",
-    "ki-accuracy": "84f258215e933aec6faa8e79da9cf2855630e54cfca367db94810fedf0b9478f",
-    "kw-longevity": "fcae755df7e16109ecc09b75de4cd5da354e34c2ad555bd72491723dbb923d58",
-    "kw-redundancy": "ecc87d657977727c2e357a3a093b5372b963fda69e3de502e39cf6100441707d",
-    "postcarding-accuracy": "b2a79326a619e15b952aac33ec1623353b77ee337d8c719d77c86ea71ace503e",
-    "postcarding-cache": "0584ac13fdbe6b6e69f5dbeb90d79688d2d6eb3e080725e1242dd9faae433fa9",
+    "append-bench": "67a9cbb866d6b418ff3e42b321fb0760adf3ac6524efcbf4ad600ed6931582f9",
+    "bounds": "6d259db559920bf6ac9c2797547a30d59364475c7cc6d074b0eb6c2a44f363a9",
+    "flowctl-loss": "d17562f2d34a7970cf6beaa9d273f3b39a758534c59d7f7d98ffa1472b22b03b",
+    "ki-accuracy": "139e334e5306250547c5faa60b278428b5269b22231aaf41fa1321ab4d393afd",
+    "kw-longevity": "fedf91d24139fd131b1288d14aeac246231cd82a32f9f117074a1fb8761c08f7",
+    "kw-redundancy": "7889a1c9b94874752ef2f0e1999913dd130bfab78d4ce860ec7f94d41d36dbee",
+    "postcarding-accuracy": "dec67e99662a5fb841dbb1b44d8d34fe07d54d4298f3056a0f875af9a5b3d3ac",
+    "postcarding-cache": "9ba5afc48d1ece398af5ab8dfa64f51f72e49589e05853fe224301d2a3330fbd",
 }
 
 
@@ -178,8 +178,8 @@ PINNED_ENGINE_COUNTS = [
     (lambda: kw_monte_carlo(1024, 4, 4, 3, 1.0, 2000, 7, policy=QueryPolicy.PLURALITY,
                             threshold=2),
      (2000, 11, 1425, 560, 4)),
-    (lambda: pc_monte_carlo(1024, 5, 8, 6, 2, 1.0, 2000, 7), (2000, 484, 1514, 0, 2)),
-    (lambda: pc_monte_carlo(1024, 5, 6, 6, 2, 1.0, 2000, 7), (2000, 428, 1151, 81, 340)),
+    (lambda: pc_monte_carlo(1024, 5, 8, 6, 2, 1.0, 2000, 7), (2000, 503, 1496, 0, 1)),
+    (lambda: pc_monte_carlo(1024, 5, 6, 6, 2, 1.0, 2000, 7), (2000, 463, 1165, 58, 314)),
 ]
 
 

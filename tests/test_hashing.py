@@ -61,6 +61,37 @@ def test_raw64_matches_reference_formula(calls):
             seed, domain, index, data)
 
 
+def reference_members(seed: int, domain: int, data: bytes, count: int) -> list[int]:
+    """The family's definition: block k is a fresh keyed BLAKE2b-512 digest read as 8
+    big-endian members, keyed by (seed, domain, k); the blocks' members truncated to count."""
+    out = []
+    for k in range((count + 7) // 8):
+        key = struct.pack("<QQQ", seed, domain, k)
+        out += struct.unpack(">8Q", blake2b(data, digest_size=64, key=key).digest())
+    return out[:count]
+
+
+# As _CALLS, with a member count in place of an index; counts past 8 reach block 1.
+_MEMBER_CALLS = st.lists(
+    st.tuples(st.sampled_from([0x5EED, 0xD7A]), st.sampled_from(list(Domain)),
+              st.binary(max_size=200), st.integers(1, 16)),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=200)
+@given(_MEMBER_CALLS)
+@example([(0x5EED, d, bytes(range(n % 256)) * 2, c) for d in Domain for n, c in
+          ((0, 1), (64, 8), (65, 9), (150, 16))])
+def test_members_match_reference_formula(calls):
+    families = {0x5EED: HashFamily(0x5EED), 0xD7A: HashFamily(0xD7A)}
+    for seed, domain, data, count in calls + calls:  # the repeat reuses every kept state
+        got = families[seed].members(domain, data, count)
+        assert got == reference_members(seed, domain, data, count)
+        for shorter in range(1, count):
+            assert families[seed].members(domain, data, shorter) == got[:shorter]
+
+
 def slot(n: int, key: bytes, buflen: int) -> int:
     """Slot of redundancy copy ``n`` of ``key``: member (KW_SLOT, n) reduced to ``buflen``."""
     return FAM.raw64(Domain.KW_SLOT, n, key) % buflen
@@ -140,13 +171,9 @@ def test_checksum_collision_rate_16bit():
     assert abs(collisions - expected) <= 3 * expected ** 0.5 + 1
 
 
-def hop_checksum(flow_key: bytes, hop: int, bits: int) -> int:
-    """Postcarding's hop checksum: member (PC_HOP_CSUM, hop), top ``bits`` bits."""
-    return FAM.raw64(Domain.PC_HOP_CSUM, hop, flow_key) >> (64 - bits)
-
-
 def test_hop_checksums_differ_by_hop():
-    seen = {hop_checksum(b"flow", hop, 32) for hop in range(5)}
+    """Postcarding's hop checksums: the top 32 bits of members 0..4 of PC_FLOW."""
+    seen = {m >> 32 for m in FAM.members(Domain.PC_FLOW, b"flow", 5)}
     assert len(seen) == 5
 
 

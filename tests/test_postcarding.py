@@ -41,19 +41,26 @@ def run_writes(store, verbs):
 
 
 # ---------------------------------------------------------------------------
-# Reference: Postcarding as first written, one hash call per hop checksum,
-# chunk index and value code, and one slice and int per cell read through the
-# region's bounds check.
+# Reference: Postcarding written out, one fresh digest per hop checksum, chunk
+# index and value code (each flow member from the written-out members formula),
+# and one slice and int per cell read through the region's bounds check.
+
+
+def ref_flow_member(family, fkey, i):
+    """Member ``i`` of a flow: word i % 8 of the 64-octet BLAKE2b digest of the flow key,
+    keyed by (seed, PC_FLOW, i // 8)."""
+    key = struct.pack("<QQQ", family.seed_base, Domain.PC_FLOW, i // 8)
+    return struct.unpack(">8Q", blake2b(fkey, digest_size=64, key=key).digest())[i % 8]
 
 
 def ref_hop_checksum(family, fkey, hop, bits):
-    """Hop ``hop``'s checksum of a flow: member (PC_HOP_CSUM, hop), top ``bits`` bits."""
-    return family.raw64(Domain.PC_HOP_CSUM, hop, fkey) >> (64 - bits)
+    """Hop ``hop``'s checksum of a flow: member ``hop``, top ``bits`` bits."""
+    return ref_flow_member(family, fkey, hop) >> (64 - bits)
 
 
-def ref_chunk_hash(family, n, fkey, chunks):
-    """Chunk index of redundancy copy ``n``: member (PC_CHUNK, n) mod ``chunks``."""
-    return family.raw64(Domain.PC_CHUNK, n, fkey) % chunks
+def ref_chunk_hash(store, n, fkey):
+    """Chunk index of redundancy copy ``n``: member ``hops + n`` mod ``chunks``."""
+    return ref_flow_member(store.family, fkey, store.hops + n) % store.chunks
 
 
 def ref_chunk_address(store, chunk):
@@ -80,8 +87,7 @@ def ref_pc_write(store, chunk, n_redundancy):
         word = ref_hop_checksum(store.family, fkey, i, store.cell_bits) ^ ref_encode(store.codec, sym)
         cells += word.to_bytes(store.cell_len, "little")
     payload = bytes(cells).ljust(store.chunk_stride, b"\x00")
-    return [Write(ref_chunk_address(store, ref_chunk_hash(store.family, j, fkey, store.chunks)),
-                  payload)
+    return [Write(ref_chunk_address(store, ref_chunk_hash(store, j, fkey)), payload)
             for j in range(n_redundancy)]
 
 
@@ -118,8 +124,7 @@ def ref_pc_query(store, flow_id, n_redundancy):
     checksums = ref_checksums(store, fkey)
     paths = set()
     for j in range(n_redundancy):
-        decoded = ref_decode_chunk(store, checksums,
-                                   ref_chunk_hash(store.family, j, fkey, store.chunks))
+        decoded = ref_decode_chunk(store, checksums, ref_chunk_hash(store, j, fkey))
         if decoded is not None:
             paths.add(decoded)
     if not paths:
@@ -187,13 +192,24 @@ def test_write_then_query_roundtrip():
     assert res.values == (3, 1, 4)
 
 
+def test_query_reads_across_redundancies():
+    """Members are prefix-stable: a chunk written at N = 2 reads back at N = 1 and N = 4."""
+    store = make_store(chunks=4096)
+    chunk = EmittedChunk(77, (6, 5, 4, None, None), EmissionReason.COMPLETE)
+    two = pc_write(store, chunk, 2)
+    run_writes(store, two)
+    for n in (1, 4):
+        assert pc_query(store, 77, n) == PostcardQueryResult(PathOutcome.PATH, (6, 5, 4))
+    assert [w.address for w in pc_write(store, chunk, 1)] == [two[0].address]
+
+
 def test_chunk_cells_are_consecutive_in_memory():
     store = make_store(chunks=8)
     chunk = EmittedChunk(5, (1, 2, 3, 4, 5), EmissionReason.COMPLETE)
     verbs = pc_write(store, chunk, 1)
     run_writes(store, verbs)
     fkey = (5).to_bytes(8, "big")
-    index = ref_chunk_hash(store.family, 0, fkey, store.chunks)
+    index = ref_chunk_hash(store, 0, fkey)
     base = ref_chunk_address(store, index)
     raw = store.region.read(base, store.chunk_payload_len)
     for i in range(B):
@@ -220,7 +236,7 @@ def test_region_matches_cell_by_cell_oracle():
     expected = bytearray(store.region.size)
     for flow, values in flows.items():  # dict order == write order
         fkey = flow.to_bytes(8, "big")
-        base = ref_chunk_address(store, ref_chunk_hash(store.family, 0, fkey, store.chunks))
+        base = ref_chunk_address(store, ref_chunk_hash(store, 0, fkey))
         for i, v in enumerate(values):
             word = ref_hop_checksum(store.family, fkey, i, 32) ^ ref_encode(store.codec, v)
             expected[base + 4 * i:base + 4 * i + 4] = word.to_bytes(4, "little")
@@ -244,8 +260,8 @@ def test_untouched_store_yields_empty():
 def test_disagreeing_valid_chunks_are_ambiguous():
     store = make_store(chunks=512)
     fkey = (123).to_bytes(8, "big")
-    c0 = ref_chunk_hash(store.family, 0, fkey, store.chunks)
-    c1 = ref_chunk_hash(store.family, 1, fkey, store.chunks)
+    c0 = ref_chunk_hash(store, 0, fkey)
+    c1 = ref_chunk_hash(store, 1, fkey)
     assert c0 != c1
     # write the flow at both locations, then rewrite one location with
     # different values using a single-copy write crafted at that index
@@ -329,7 +345,7 @@ def pc_against_reference(rng, cell_bits, hops, value_bits, chunks, base, seed, o
             at = rng.randrange(region.size)
             verbs = [Write(at, rng.randbytes(rng.randint(1, min(stride, region.size - at))))]
         elif op < 0.6:  # flip one bit of one of the flow's chunks
-            chunk_index = ref_chunk_hash(family, n - 1, flow.to_bytes(8, "big"), chunks)
+            chunk_index = ref_chunk_hash(store, n - 1, flow.to_bytes(8, "big"))
             at = ref_chunk_address(store, chunk_index) + rng.randrange(stride)
             verbs = [Write(at, bytes([region.read(at, 1)[0] ^ 1 << rng.randrange(8)]))]
         else:
@@ -339,7 +355,7 @@ def pc_against_reference(rng, cell_bits, hops, value_bits, chunks, base, seed, o
             fkey = flow.to_bytes(8, "big")
             checksums = ref_checksums(store, fkey)
             for j in range(n):
-                index = ref_chunk_hash(family, j, fkey, chunks)
+                index = ref_chunk_hash(store, j, fkey)
                 if (None not in ref_cells(store, checksums, index)
                         and ref_decode_chunk(store, checksums, index) is None):
                     met["invalid prefix"] += 1

@@ -353,6 +353,14 @@ def test_config_error_paths():
         workload_from_dict({})
 
 
+@pytest.mark.parametrize("rate", [0.5, 0, float("nan")])
+def test_sub_one_offered_rate_is_refused(rate):
+    """Below one report per step a reporter never sends, so the run would never end."""
+    with pytest.raises(ConfigError) as err:
+        Workload(WorkloadKind.KW_FLOWS, reports=5, reports_per_step=rate)
+    assert err.value.path == "workload.reports_per_step"
+
+
 def test_config_roundtrip_build():
     topo = topology_from_dict({
         "reporters": 2,
@@ -383,7 +391,7 @@ PINNED_RUNS = {
         Topology(reporters=2), Workload(WorkloadKind.POSTCARDS, 300, reports_per_step=64),
         dict(workload_kind="postcards", steps=4, reports_offered=300, packets_sent=302,
              reports_applied=300, keepalives=2, verbs_applied=182,
-             memory_sha256="7c9bd787037ac21b6e99dd161ac1a1f9c21158bc8e5eb309bb0e31a848a79cc7"),
+             memory_sha256="d4ff0aacc7d882fb644dc104dcb962a2289b2ede1a9a5430456784243b6b4b2f"),
     ),
     "append-events": (
         Topology(reporters=2),
