@@ -10,6 +10,10 @@ CHANGE_DIR's ``BENCHMARK.json`` lists, the record gives each side's runs,
 median and quartiles, the ratio of the medians, the number of pairs the
 change won (ties count for neither side) and ``beyond_bound``: whether the
 change's median moved the worse way by more than the metric's ``bound``.
+``gain_shown`` says whether the change won at least 9/10 of the pairs and its
+median beat the parent's by more than the parent's q3 - q1; ``unresolved``
+whether the parent's q3 - q1, over its median, is wider than the bound while
+not every change run beats every parent run.
 Each metric beyond its bound is also named on stderr.  A run whose output
 check fails still exits 0 and says why on stderr; each workload's distinct
 ``CHECK FAILED`` lines, prefixed with the side, go under ``check_failures``
@@ -61,16 +65,26 @@ def compare(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        wins = sum(c > p if higher else c < p for p, c in zip(values["parent"], values["change"]))
+        sign = 1 if higher else -1  # sign * (c - p) > 0: change c beats parent p
+        pairs = list(zip(values["parent"], values["change"]))
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
         parent, change = summary(values["parent"]), summary(values["change"])
         ratio = change["median"] / parent["median"] if parent["median"] else None
         beyond = ratio is not None and (1 - ratio if higher else ratio - 1) > metric["bound"]
+        iqr = parent["q3"] - parent["q1"]
+        gain = 10 * wins >= 9 * len(pairs) and sign * (change["median"] - parent["median"]) > iqr
+        every_run_better = all(sign * (c - p) > 0
+                               for p in values["parent"] for c in values["change"])
+        unresolved = (bool(parent["median"]) and iqr / abs(parent["median"]) > metric["bound"]
+                      and not every_run_better)
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": parent, "change": change,
             "change_over_parent": None if ratio is None else round(ratio, 4),
             "change_wins_pairs": f"{wins}/{len(values['change'])}",
             "beyond_bound": beyond,
+            "gain_shown": gain,
+            "unresolved": unresolved,
         }
     return out
 

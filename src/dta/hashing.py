@@ -9,28 +9,29 @@ the family comes from structured seeds (domain, index) mixed into the key.
 Key-Increment, key checksums, cache rows and value codes take one call per
 member.  ``members`` gives 8 members of one domain per 64-octet digest, block
 k keyed by (seed, domain, k): Postcarding takes a flow's B hop checksums,
-then its N chunk copies, from one such call.
+then its N chunk copies, from one such call.  ``ValueCodec`` maps values to
+b-bit codes by a table indexed by value, and codes back by a hashed index.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from array import array
-from bisect import bisect_left
 from enum import IntEnum
 from functools import lru_cache
 from hashlib import blake2b
-from itertools import islice, repeat
 
 ALGORITHM_ID = "blake2b-64+512"
 # most copies one report may ask for; the stores and sim.Topology refuse more
 MAX_REDUNDANCY = 4
+# widest value universe a ValueCodec holds, as bits: 2^24 values take 256 MB
+MAX_VALUE_BITS = 24
 
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
 _DIGEST64 = struct.Struct(">Q")  # a digest read as a big-endian integer
 _DIGEST512 = struct.Struct(">8Q")  # a 64-octet digest read as 8 big-endian members
+_FIBONACCI = 0x9E3779B97F4A7C15  # 2^64 / golden ratio: spreads narrow codes over the index
 
 
 class Domain(IntEnum):
@@ -140,54 +141,52 @@ class ValueCodec:
     """Bidirectional encoding of a finite value universe into b-bit cells.
 
     The universe is the integer range [0, universe_size); BLANK is a reserved
-    symbol outside it.  Every value's code is hashed once, here, into two
-    tables: ``_codes``, an ``array('Q')`` indexed by value, which ``encode``
-    reads; and one sorted ``array('Q')`` of keys ``(code << vbits) | value``
-    with ``vbits = (universe_size - 1).bit_length()``, which ``decode``
-    searches with ``bisect`` (a sorted list of the same keys when they need
-    more than 64 bits).  Distinct values may collide in the encoding
-    (birthday bound ~ |V|^2 / 2^(b+1)); a colliding code decodes to BLANK if
-    BLANK has it, else to the least value with it, and ``collisions`` counts
-    ``universe_size + 1`` minus the number of distinct codes.
-
-    The tables depend only on ``(family.seed_base, universe_size, bits)``;
-    ``value_codec`` shares one codec per such configuration in a process.
+    symbol outside it.  Each value's code is hashed once, into ``_codes``, an
+    ``array('Q')`` indexed by value that ``encode`` reads.  ``decode`` reads
+    ``_index``, an open-addressing ``array('I')`` of a power of two slots, at
+    least twice ``universe_size``, slot i holding value + 1 or 0 when empty: a
+    code's home slot is its Fibonacci hash, probing is linear, and a slot
+    matches when ``_codes`` of its value is the code.  Values go in ascending
+    order, so a probe's first match is the least value with that code.  A code
+    that values share (birthday bound ~ |V|^2 / 2^(b+1)) decodes to BLANK if
+    BLANK has it, else to the least value with it; ``collisions`` counts
+    ``universe_size + 1`` minus the number of distinct codes.  The tables, 16
+    octets per value at a power-of-two ``universe_size``, depend only on
+    ``(family.seed_base, universe_size, bits)``; ``value_codec`` shares one
+    codec per such configuration in a process.
     """
 
     def __init__(self, family: HashFamily, universe_size: int, bits: int):
-        if universe_size < 1:
-            raise ValueError(f"universe_size must be >= 1, got {universe_size}")
+        if not (isinstance(universe_size, int) and 1 <= universe_size <= 1 << MAX_VALUE_BITS):
+            raise ValueError(f"universe_size must be an int in [1, 2^{MAX_VALUE_BITS}], "
+                             f"got {universe_size!r}")
         _check_bits(bits)
         self.family = family
         self.universe_size = universe_size
         self.bits = bits
         shift = 64 - bits
         self._blank_code = family.raw64(Domain.PC_VALUE, 0, b"\x00") >> shift
-        vbits = self._vbits = (universe_size - 1).bit_length()
-        vmask = self._vmask = (1 << vbits) - 1
+        slot_bits = (2 * universe_size - 1).bit_length()
+        slot_shift = self._slot_shift = 64 - slot_bits
+        self._slot_mask = mask = (1 << slot_bits) - 1
+        codes = self._codes = array("Q", [0]) * universe_size
+        index = self._index = array("I", [0]) * (1 << slot_bits)
         # Each value's hash input is the tag b"\x01" then the value, so every
         # digest continues one keyed state that has already absorbed the tag.
         prefix = family._state(Domain.PC_VALUE, 0).copy()
         prefix.update(b"\x01")
         fork, pack, unpack = prefix.copy, _U64.pack, _DIGEST64.unpack
-        keys = []
-        add = keys.append
         for v in range(universe_size):
             h = fork()
             h.update(pack(v))
-            add(unpack(h.digest())[0] >> shift << vbits | v)
-        keys.sort()
-        # Rebinding drops the list, so the tables below never coexist with it.
-        keys = self._keys = array("Q", keys) if bits + vbits <= 64 else keys
-        codes = array("Q", map(operator.rshift, keys, repeat(vbits)))  # sorted
-        repeats = sum(map(operator.eq, codes, islice(codes, 1, None)))
-        i = bisect_left(codes, self._blank_code)
-        blank_shared = i < len(codes) and codes[i] == self._blank_code
-        self.collisions = repeats + blank_shared
-        del codes
-        by_value = self._codes = array("Q", bytes(8 * universe_size))
-        for key in keys:
-            by_value[key & vmask] = key >> vbits
+            code = codes[v] = unpack(h.digest())[0] >> shift
+            i = (code * _FIBONACCI & _MASK64) >> slot_shift
+            while (w := index[i]) and codes[w - 1] != code:
+                i = (i + 1) & mask
+            if not w:  # else a lesser value holds this code already
+                index[i] = v + 1
+        repeats = universe_size - (len(index) - index.count(0))
+        self.collisions = repeats + (self._blank_code in codes)
 
     def encode(self, v) -> int:
         """b-bit encoding of ``v`` (a universe member or BLANK)."""
@@ -201,11 +200,11 @@ class ValueCodec:
         """Value whose encoding is ``code``, or None if no value maps there."""
         if code == self._blank_code:  # BLANK wins its code over any value
             return BLANK
-        keys, vbits = self._keys, self._vbits
-        i = bisect_left(keys, code << vbits)  # the least value with this code
-        if i < len(keys) and keys[i] >> vbits == code:
-            return keys[i] & self._vmask
-        return None
+        index, codes, mask = self._index, self._codes, self._slot_mask
+        i = (code * _FIBONACCI & _MASK64) >> self._slot_shift
+        while (w := index[i]) and codes[w - 1] != code:
+            i = (i + 1) & mask
+        return w - 1 if w else None
 
 
 @lru_cache(maxsize=4)
@@ -214,7 +213,7 @@ def value_codec(seed_base: int, universe_size: int, bits: int) -> ValueCodec:
 
     Keyed by the plain seed because a ``HashFamily`` is a new object per
     caller.  The cache is bounded because each table lives as long as the
-    process (about 2 MB at 2^18 values).  Callers share the returned codec
+    process (4 MB at 2^18 values).  Callers share the returned codec
     and must not change it.
     """
     return ValueCodec(HashFamily(seed_base), universe_size, bits)

@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import append as append_mod
 from . import counters, flowctl, keywrite, postcarding, wire
-from .hashing import MAX_REDUNDANCY, HashFamily, value_codec
+from .hashing import MAX_REDUNDANCY, MAX_VALUE_BITS, HashFamily, value_codec
 from .memstore import PSN_MOD, MemoryRegion, QueuePair, apply_verb, reset_qp
 
 
@@ -129,6 +129,13 @@ class Topology:
                                   f"must be in [1, {MAX_REDUNDANCY}], got {n}")
         if self.sketch.w_batch < 1:
             raise ConfigError("sketch.w_batch", f"must be >= 1, got {self.sketch.w_batch}")
+        # the codec is built with the run: 2^value_bits values of cell_bits each
+        value_bits, cell_bits = self.pc.value_bits, self.pc.cell_bits
+        if not (isinstance(value_bits, int) and 0 <= value_bits <= MAX_VALUE_BITS):
+            raise ConfigError("pc.value_bits",
+                              f"must be an int in [0, {MAX_VALUE_BITS}], got {value_bits!r}")
+        if not (isinstance(cell_bits, int) and 1 <= cell_bits <= 64):
+            raise ConfigError("pc.cell_bits", f"must be an int in [1, 64], got {cell_bits!r}")
 
 
 class WorkloadKind(Enum):

@@ -198,6 +198,34 @@ def test_config_a_store_would_refuse_per_report_fails_run_and_validate(tmp_path,
         assert captured.err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("pc, field", [
+    ({"value_bits": 2.5}, "pc.value_bits"),
+    ({"value_bits": 40}, "pc.value_bits"),
+    ({"value_bits": -1}, "pc.value_bits"),
+    ({"cell_bits": 0}, "pc.cell_bits"),
+    ({"cell_bits": 65}, "pc.cell_bits"),
+], ids=["value-bits-fraction", "value-bits-40", "value-bits-negative", "cell-bits-0",
+        "cell-bits-65"])
+def test_codec_the_run_cannot_build_fails_run_and_validate(tmp_path, capsys, pc, field):
+    """The value codec is built with every run, whatever its workload: 2^40 values would
+    never finish building."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"topology": {"pc": pc},
+                                "workload": {"kind": "kw-flows", "reports": 5}}))
+    for argv in (["run", "--config", str(path)], ["validate", str(path)]):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_suite_refuses_a_value_universe_too_wide_to_build(capsys):
+    assert run_cli("suite", "postcarding-accuracy", "--set", "value_bits=40") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: universe_size must be an int in [1, 2^24]")
+
+
 @pytest.mark.parametrize("rate", [0.5, 0, float("nan")])
 def test_validate_refuses_sub_one_offered_rate(tmp_path, capsys, rate):
     """Only ``validate``: a run at such a rate would never end if the check were gone."""

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from hashlib import blake2b
 
 import pytest
@@ -246,6 +247,37 @@ class TestValueCodec:
         codec = ValueCodec(FAM, 4, 32)
         misses = sum(codec.decode(c) is None for c in range(1000))
         assert misses >= 995  # only 5 codes are occupied
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 64), st.lists(st.integers(0, (1 << 72) - 1),
+                                                        max_size=40))
+@example(1, 1, [])
+@example(3000, 12, [])
+@example(2048, 64, [])
+def test_decode_matches_value_by_value_build(universe_size, bits, extra_codes):
+    """Every code decodes as the reference table says: BLANK first, else the least value
+    with that code, else None; so do codes of more than ``bits`` bits, as a clobbered cell
+    may hold."""
+    codec = ValueCodec(FAM, universe_size, bits)
+    table, collisions = reference_codec_table(FAM, universe_size, bits)
+    assert codec.collisions == collisions
+    width = 1 << bits
+    codes = list(range(width)) if bits <= 12 else list(table)
+    codes += [width, width + 1, 2 * width - 1, width << 6, (1 << 80) + 5] + extra_codes
+    for code in codes:
+        assert codec.decode(code) == table.get(code)
+
+
+def test_codec_build_peaks_under_32_octets_per_value():
+    """The build preallocates its two tables and makes no per-value list or sort."""
+    tracemalloc.start()
+    try:
+        ValueCodec(FAM, 1 << 14, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 14
 
 
 def test_value_codec_is_shared_per_configuration():

@@ -87,3 +87,49 @@ def test_bench_pairs_flags_a_metric_beyond_its_bound():
     assert fell["beyond_bound"] and fell["change_over_parent"] == 0.84
     rose = compare(_runs("reports_per_s", [1000.0] * 3, [1500.0] * 3), [rate])["reports_per_s"]
     assert not rose["beyond_bound"]
+
+
+def test_bench_pairs_shows_a_gain_only_when_it_is_there(tmp_path, monkeypatch, capsys):
+    """Stubbed runs: memory falls in 9 of 10 pairs by more than the parent's spread (a
+    gain shown); a rate whose parent runs spread wider than its bound, with the change's
+    runs inside that spread, is unresolved; a steady, unmoved metric is neither."""
+    repo = SCRIPTS.parent
+    names = [m["name"] for m in json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]]
+    memory = {"parent": [37.0, 37.1] * 5, "change": [28.0] * 9 + [37.2]}
+    rate = {"parent": [800.0, 1200.0] * 5, "change": [1000.0] * 10}
+    calls = {"parent": 0, "change": 0}
+
+    def fake_run(cmd, cwd, **kwargs):
+        side = "change" if Path(cwd) == repo.resolve() else "parent"
+        i = calls[side]
+        calls[side] += 1
+        metrics = {name: {"value": 5.0} for name in names}
+        metrics["peak_rss_mb"]["value"] = memory[side][i]
+        metrics["pc_trials_per_s"]["value"] = rate[side][i]
+        out = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(out) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    main = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["main"]
+    assert main([str(tmp_path), str(repo), "--workload", "mc-query", "--pairs", "10",
+                 "--seconds", "0", "--seeds", "3"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["workloads"]["mc-query"]["metrics"]
+    assert metrics["peak_rss_mb"]["change_wins_pairs"] == "9/10"
+    assert metrics["peak_rss_mb"]["gain_shown"] and not metrics["peak_rss_mb"]["unresolved"]
+    assert metrics["pc_trials_per_s"]["unresolved"]
+    assert not metrics["pc_trials_per_s"]["gain_shown"]
+    assert not metrics["setup_s"]["gain_shown"] and not metrics["setup_s"]["unresolved"]
+    assert calls == {"parent": 10, "change": 10}
+
+
+def test_bench_pairs_gain_needs_nine_tenths_of_pairs_and_a_median_beyond_the_spread():
+    compare = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["compare"]
+    memory = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
+    parent = [37.0, 37.1] * 5
+    eight = compare(_runs("peak_rss_mb", parent, [28.0] * 8 + [37.2] * 2), [memory])
+    assert eight["peak_rss_mb"]["change_wins_pairs"] == "8/10"
+    assert not eight["peak_rss_mb"]["gain_shown"]
+    # every pair won, but the medians differ by less than the parent's q3 - q1
+    close = compare(_runs("peak_rss_mb", parent, [36.99, 37.09] * 5), [memory])
+    assert close["peak_rss_mb"]["change_wins_pairs"] == "10/10"
+    assert not close["peak_rss_mb"]["gain_shown"]
