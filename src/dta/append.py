@@ -19,14 +19,6 @@ from dataclasses import dataclass
 from .memstore import MemoryRegion, Write
 
 
-class BadEntryLength(ValueError):
-    """Entry does not match the list's fixed entry width."""
-
-
-class UnknownList(ValueError):
-    """No list registered under this id."""
-
-
 @dataclass
 class AppendList:
     """One ring buffer: geometry plus the writer's progress.
@@ -103,9 +95,9 @@ class AppendEngine:
         """Stage one entry; returns the batch write when this entry completes one."""
         lst = self.lists.get(list_id)
         if lst is None:
-            raise UnknownList(list_id)
+            raise ValueError(f"no list {list_id}")
         if len(entry) != lst.entry_len:
-            raise BadEntryLength(f"expected {lst.entry_len}B entry, got {len(entry)}B")
+            raise ValueError(f"expected {lst.entry_len}B entry, got {len(entry)}B")
         staged = self._staged[list_id]
         if len(staged) + 1 == self.batch_size:
             batch = staged + [entry]
@@ -122,7 +114,7 @@ class AppendEngine:
         """
         lst = self.lists.get(list_id)
         if lst is None:
-            raise UnknownList(list_id)
+            raise ValueError(f"no list {list_id}")
         staged = self._staged[list_id]
         if not staged:
             return []

@@ -30,13 +30,12 @@ from . import analysis, sim
 from .append import AppendEngine, AppendList, PollCursor, append_poll
 from .counters import KiStore, ki_increment, ki_query
 from .hashing import ALGORITHM_ID, Domain, HashFamily, value_codec
-from .keywrite import KwStore, QueryOutcome, QueryPolicy, kw_query, kw_write
+from .keywrite import KwStore, QueryPolicy, kw_query, kw_write
 # apply_verb is not called here: bench/spans.py wraps this name in this module
-from .memstore import MemoryRegion, apply_verb  # noqa: F401
+from .memstore import MemoryRegion, Outcome, QueryResult, apply_verb  # noqa: F401
 from .postcarding import (
     EmissionReason,
     EmittedChunk,
-    PathOutcome,
     PostcardCache,
     PostcardStore,
     pc_ingest,
@@ -141,25 +140,23 @@ class McStats:
 
 KwMcStats = PcMcStats = McStats  # per-engine names that bench/ builds and annotates
 
-_EMPTY = (QueryOutcome.EMPTY, PathOutcome.EMPTY)
-_AMBIGUOUS = (QueryOutcome.AMBIGUOUS, PathOutcome.AMBIGUOUS)
-
-
 def tally(indexes: Iterable[int], query: Callable, expected: Callable) -> McStats:
     """Query every index and classify the answers.
 
-    ``query(i)`` returns ``(outcome, answer)`` with a Key-Write or a
-    Postcarding outcome; an answer is correct when it equals ``expected(i)``.
+    ``query(i)`` returns a Key-Write or a Postcarding ``QueryResult``; its
+    value is correct when it equals ``expected(i)``.
     """
+    outcome_empty, outcome_ambiguous = Outcome.EMPTY, Outcome.AMBIGUOUS
     trials = correct = empty = ambiguous = 0
     for i in indexes:
         trials += 1
-        outcome, answer = query(i)
-        if outcome in _EMPTY:
+        res = query(i)
+        outcome = res.outcome
+        if outcome is outcome_empty:
             empty += 1
-        elif outcome in _AMBIGUOUS:
+        elif outcome is outcome_ambiguous:
             ambiguous += 1
-        elif answer == expected(i):
+        elif res.value == expected(i):
             correct += 1
     return McStats(trials, correct, empty, ambiguous, trials - correct - empty - ambiguous)
 
@@ -221,9 +218,8 @@ def _kw_probes(store: KwStore, redundancy: int, seed: int, threshold: int,
                policy: QueryPolicy) -> tuple[Callable, Callable]:
     """``query`` and ``expected`` of ``tally`` for the key at a stream position."""
 
-    def query(i: int) -> tuple:
-        res = kw_query(store, stream_key(seed, i), redundancy, threshold, policy)
-        return res.outcome, res.value
+    def query(i: int) -> QueryResult:
+        return kw_query(store, stream_key(seed, i), redundancy, threshold, policy)
 
     def expected(i: int) -> bytes:
         return stream_value(stream_key(seed, i), store.value_len)
@@ -368,9 +364,8 @@ def pc_monte_carlo(
         chunk = EmittedChunk(flow_id, cells, EmissionReason.COMPLETE)
         collector.apply(pc_write(store, chunk, redundancy))
 
-    def query(flow: int) -> tuple:
-        res = pc_query(store, flow, redundancy)
-        return res.outcome, res.values
+    def query(flow: int) -> QueryResult:
+        return pc_query(store, flow, redundancy)
 
     def canonical(flow: int) -> tuple:
         return tuple(codec.decode(codec.encode(v))

@@ -51,10 +51,6 @@ class Domain(IntEnum):
     PC_STREAM = 11
 
 
-class ValueOutsideUniverse(ValueError):
-    """A value was not drawn from the declared value universe."""
-
-
 class _BlankType:
     """Sentinel for a hop whose postcard was never collected."""
 
@@ -193,7 +189,7 @@ class ValueCodec:
         if v is BLANK:
             return self._blank_code
         if not (isinstance(v, int) and 0 <= v < self.universe_size):
-            raise ValueOutsideUniverse(f"{v!r} not in [0, {self.universe_size}) or BLANK")
+            raise ValueError(f"{v!r} not in [0, {self.universe_size}) or BLANK")
         return self._codes[v]
 
     def decode(self, code: int):

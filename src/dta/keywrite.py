@@ -24,37 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .hashing import MAX_REDUNDANCY, Domain, HashFamily
-from .memstore import MemoryRegion, Write
+from .memstore import AMBIGUOUS, EMPTY, MemoryRegion, Outcome, QueryResult, Write
 
 _KW_SLOT = int(Domain.KW_SLOT)  # a plain int: an enum member costs a lookup per call
-
-
-class BadValueLength(ValueError):
-    """Report data does not match the store's fixed value width."""
 
 
 class QueryPolicy(Enum):
     PLURALITY = "plurality"
     SINGLE_VALUE = "single-value"
-
-
-class QueryOutcome(Enum):
-    VALUE = "value"
-    EMPTY = "empty"
-    AMBIGUOUS = "ambiguous"
-
-
-@dataclass(frozen=True)
-class KwQueryResult:
-    outcome: QueryOutcome
-    value: Optional[bytes] = None
-
-
-_EMPTY = KwQueryResult(QueryOutcome.EMPTY)
-_AMBIGUOUS = KwQueryResult(QueryOutcome.AMBIGUOUS)
 
 
 @dataclass
@@ -99,7 +78,7 @@ def kw_write(store: KwStore, key: bytes, data: bytes, n_redundancy: int) -> list
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(data) != store.value_len:
-        raise BadValueLength(f"expected {store.value_len}B value, got {len(data)}B")
+        raise ValueError(f"expected {store.value_len}B value, got {len(data)}B")
     family, base, buflen, slot_len = store.family, store.base, store.buflen, store.slot_len
     payload = family.key_checksum(key, store.checksum_bits).to_bytes(store.csum_len, "little")
     payload += data
@@ -113,7 +92,7 @@ def kw_query(
     n_redundancy: int,
     threshold: int = 1,
     policy: QueryPolicy = QueryPolicy.PLURALITY,
-) -> KwQueryResult:
+) -> QueryResult:
     """Read the key's N candidate slots and vote.
 
     ``n_redundancy`` may exceed the redundancy used at write time (querying
@@ -131,12 +110,12 @@ def kw_query(
         if buf.startswith(want, at):
             values.append(buf[at + csum_len:at + slot_len])
     if not values:
-        return _EMPTY
+        return EMPTY
 
     if policy is QueryPolicy.SINGLE_VALUE:
         if values.count(values[0]) == len(values):
-            return KwQueryResult(QueryOutcome.VALUE, bytes(values[0]))
-        return _AMBIGUOUS
+            return QueryResult(Outcome.VALUE, bytes(values[0]))
+        return AMBIGUOUS
 
     counts: dict[bytes, int] = {}
     for value in map(bytes, values):
@@ -144,5 +123,5 @@ def kw_query(
     top_count = max(counts.values())
     top = [value for value, count in counts.items() if count == top_count]
     if len(top) > 1 or top_count < threshold:
-        return _AMBIGUOUS
-    return KwQueryResult(QueryOutcome.VALUE, top[0])
+        return AMBIGUOUS
+    return QueryResult(Outcome.VALUE, top[0])

@@ -14,13 +14,17 @@ verbs are little-endian.
 Verbs, built per report, are plain slotted dataclasses (a frozen field costs
 about 250 ns to set).  The translator posts them one-sided and never reads a
 response: applying a verb tells it only whether the verb was accepted.
+
+A querier reading a store gets one ``QueryResult``: a value, nothing
+(``EMPTY``), or copies that disagree (``AMBIGUOUS``).  A store refuses a
+report by raising ``ValueError`` before it changes any state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Any, Union
 
 PSN_MOD = 1 << 24
 _U64_MOD = 1 << 64
@@ -28,6 +32,24 @@ _U64_MOD = 1 << 64
 
 class OutOfBoundsError(Exception):
     """A verb addressed memory outside the region (translator addressing bug)."""
+
+
+class Outcome(Enum):
+    VALUE = "value"
+    EMPTY = "empty"
+    AMBIGUOUS = "ambiguous"
+
+
+@dataclass(frozen=True)
+class QueryResult:
+    """A store's answer: ``value`` is a Key-Write value's octets or a Postcarding path."""
+
+    outcome: Outcome
+    value: Any = None
+
+
+EMPTY = QueryResult(Outcome.EMPTY)
+AMBIGUOUS = QueryResult(Outcome.AMBIGUOUS)
 
 
 class QpState(Enum):

@@ -32,14 +32,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .hashing import BLANK, MAX_REDUNDANCY, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
-from .memstore import MemoryRegion, Write
+from .hashing import BLANK, MAX_REDUNDANCY, Domain, HashFamily, ValueCodec
+from .memstore import AMBIGUOUS, EMPTY, MemoryRegion, Outcome, QueryResult, Write
 
 _PC_FLOW = int(Domain.PC_FLOW)  # a plain int: an enum member costs a lookup per call
-
-
-class HopOutOfRange(ValueError):
-    """Postcard hop index outside [0, hops-per-chunk)."""
 
 
 def _next_pow2(n: int) -> int:
@@ -179,9 +175,9 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
     incumbent and its own now-complete chunk.
     """
     if not 0 <= hop < cache.hops:
-        raise HopOutOfRange(f"hop {hop} outside [0, {cache.hops})")
+        raise ValueError(f"hop {hop} outside [0, {cache.hops})")
     if not 0 <= value < cache.universe_size:
-        raise ValueOutsideUniverse(f"{value!r} outside [0, {cache.universe_size})")
+        raise ValueError(f"{value!r} outside [0, {cache.universe_size})")
     if path_len is not None and not 1 <= path_len <= cache.hops:
         raise ValueError(f"path_len must be in [1, {cache.hops}], got {path_len}")
 
@@ -221,22 +217,6 @@ def pc_write(store: PostcardStore, chunk: EmittedChunk, n_redundancy: int) -> li
     return [Write(at, payload) for at in addresses]
 
 
-class PathOutcome(Enum):
-    PATH = "path"
-    EMPTY = "empty"
-    AMBIGUOUS = "ambiguous"
-
-
-@dataclass(frozen=True)
-class PostcardQueryResult:
-    outcome: PathOutcome
-    values: tuple = ()
-
-
-_EMPTY = PostcardQueryResult(PathOutcome.EMPTY)
-_AMBIGUOUS = PostcardQueryResult(PathOutcome.AMBIGUOUS)
-
-
 def _decode_chunk(store: PostcardStore, checksums: list, word: int) -> Optional[tuple]:
     """Value prefix of a chunk read as one integer; None unless every cell decodes under
     the flow's hop ``checksums`` and the values are followed only by BLANKs."""
@@ -259,8 +239,8 @@ def _decode_chunk(store: PostcardStore, checksums: list, word: int) -> Optional[
     return tuple(values)
 
 
-def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQueryResult:
-    """Read the flow's N chunks and report the path they agree on."""
+def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> QueryResult:
+    """Read the flow's N chunks and report the path they agree on, as the value."""
     checksums, addresses = _flow_layout(store, flow_id, n_redundancy)
     buf, payload_len = store.region._buf, store.chunk_payload_len
     # intact copies hold the same octets, so each distinct chunk is decoded once
@@ -271,7 +251,7 @@ def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> PostcardQ
         if decoded is not None:
             paths.add(decoded)
     if not paths:
-        return _EMPTY
+        return EMPTY
     if len(paths) > 1:
-        return _AMBIGUOUS
-    return PostcardQueryResult(PathOutcome.PATH, paths.pop())
+        return AMBIGUOUS
+    return QueryResult(Outcome.VALUE, paths.pop())

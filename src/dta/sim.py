@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from enum import Enum
 from typing import Optional
@@ -48,9 +49,9 @@ class LinkConfig:
 
     def __post_init__(self):
         for name in ("loss_to_translator", "loss_to_reporter"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ConfigError(f"link.{name}", f"loss probability must be in [0, 1), got {p}")
+            if not 0.0 <= (p := getattr(self, name)) < 1.0:
+                raise ConfigError(f"topology.link.{name}",
+                                  f"loss probability must be in [0, 1), got {p}")
 
 
 @dataclass
@@ -61,7 +62,7 @@ class TranslatorConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.fault_drop_verbs < 1.0:
-            raise ConfigError("translator.fault_drop_verbs",
+            raise ConfigError("topology.translator.fault_drop_verbs",
                               f"must be in [0, 1), got {self.fault_drop_verbs}")
 
 
@@ -120,22 +121,24 @@ class Topology:
 
     def __post_init__(self):
         if self.reporters < 1:
-            raise ConfigError("reporters", f"must be >= 1, got {self.reporters}")
+            raise ConfigError("topology.reporters", f"must be >= 1, got {self.reporters}")
         # values each report carries to its store, refused here and not per report
         for section in ("kw", "pc", "ki"):
             n = getattr(self, section).redundancy
             if not 1 <= n <= MAX_REDUNDANCY:
-                raise ConfigError(f"{section}.redundancy",
+                raise ConfigError(f"topology.{section}.redundancy",
                                   f"must be in [1, {MAX_REDUNDANCY}], got {n}")
         if self.sketch.w_batch < 1:
-            raise ConfigError("sketch.w_batch", f"must be >= 1, got {self.sketch.w_batch}")
+            raise ConfigError("topology.sketch.w_batch",
+                              f"must be >= 1, got {self.sketch.w_batch}")
         # the codec is built with the run: 2^value_bits values of cell_bits each
         value_bits, cell_bits = self.pc.value_bits, self.pc.cell_bits
         if not (isinstance(value_bits, int) and 0 <= value_bits <= MAX_VALUE_BITS):
-            raise ConfigError("pc.value_bits",
+            raise ConfigError("topology.pc.value_bits",
                               f"must be an int in [0, {MAX_VALUE_BITS}], got {value_bits!r}")
         if not (isinstance(cell_bits, int) and 1 <= cell_bits <= 64):
-            raise ConfigError("pc.cell_bits", f"must be an int in [1, 64], got {cell_bits!r}")
+            raise ConfigError("topology.pc.cell_bits",
+                              f"must be an int in [1, 64], got {cell_bits!r}")
 
 
 class WorkloadKind(Enum):
@@ -157,6 +160,11 @@ class Workload:
     path_len_fixed: Optional[int] = None  # postcards: fixed path length
 
     def __post_init__(self):
+        try:
+            self.kind = WorkloadKind(self.kind)
+        except ValueError:
+            choices = ", ".join(k.value for k in WorkloadKind)
+            raise ConfigError("workload.kind", f"must be one of: {choices}") from None
         if self.reports < 0:
             raise ConfigError("workload.reports", f"must be >= 0, got {self.reports}")
         if self.key_space < 1:
@@ -257,6 +265,15 @@ class Collector:
             self.verbs_applied += 1
 
 
+@contextmanager
+def _section(name: str):
+    """Name the topology section whose store or meter refuses its config at build."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"topology.{name}", str(exc)) from None
+
+
 class Translator:
     """Translator-side assembly: flow control, primitive state, verb emission."""
 
@@ -269,38 +286,36 @@ class Translator:
         self.collector = Collector(MemoryRegion(layout["total"]),
                                    t.translator.fault_drop_verbs, fault_rng)
         self.region = self.collector.region
-        self.flow = flowctl.TranslatorFlowState(
-            flowctl.TokenBucket(t.translator.meter_rate, t.translator.meter_burst)
-        )
-        self.kw_store = keywrite.KwStore(
-            self.region, t.kw.buflen, t.kw.checksum_bits, t.kw.value_len,
-            family=self.family, base=layout["kw"],
-        )
-        codec = value_codec(t.hash_seed, 2 ** t.pc.value_bits, t.pc.cell_bits)
-        self.pc_store = postcarding.PostcardStore(
-            self.region, t.pc.chunks, t.pc.hops, t.pc.cell_bits, codec,
-            family=self.family, base=layout["pc"],
-        )
-        self.pc_cache = postcarding.PostcardCache(
-            t.pc.cache_slots, t.pc.hops, self.family, 2 ** t.pc.value_bits
-        )
-        self.append_engine = append_mod.AppendEngine(t.append.batch_size)
-        for i in range(t.append.lists):
-            self.append_engine.add_list(append_mod.AppendList(
-                i, layout["append"] + i * t.append.capacity * t.append.entry_len,
-                t.append.capacity, t.append.entry_len,
-            ))
-        self.ki_store = counters.KiStore(
-            self.region, t.ki.buflen, family=self.family, base=layout["ki"]
-        )
-        self.sketch_state = counters.SketchMergeState(
-            counters.SketchSpec(t.sketch.rows, t.sketch.cols,
-                                counters.MergeOp(t.sketch.merge_op)),
-            reporters=t.reporters,
-        )
+        with _section("translator"):
+            self.flow = flowctl.TranslatorFlowState(
+                flowctl.TokenBucket(t.translator.meter_rate, t.translator.meter_burst))
+        with _section("kw"):
+            self.kw_store = keywrite.KwStore(
+                self.region, t.kw.buflen, t.kw.checksum_bits, t.kw.value_len,
+                family=self.family, base=layout["kw"])
+        with _section("pc"):
+            codec = value_codec(t.hash_seed, 2 ** t.pc.value_bits, t.pc.cell_bits)
+            self.pc_store = postcarding.PostcardStore(
+                self.region, t.pc.chunks, t.pc.hops, t.pc.cell_bits, codec,
+                family=self.family, base=layout["pc"])
+            self.pc_cache = postcarding.PostcardCache(
+                t.pc.cache_slots, t.pc.hops, self.family, 2 ** t.pc.value_bits)
+        with _section("append"):
+            self.append_engine = append_mod.AppendEngine(t.append.batch_size)
+            for i in range(t.append.lists):
+                self.append_engine.add_list(append_mod.AppendList(
+                    i, layout["append"] + i * t.append.capacity * t.append.entry_len,
+                    t.append.capacity, t.append.entry_len))
+        with _section("ki"):
+            self.ki_store = counters.KiStore(
+                self.region, t.ki.buflen, family=self.family, base=layout["ki"])
+        with _section("sketch"):
+            self.sketch_state = counters.SketchMergeState(
+                counters.SketchSpec(t.sketch.rows, t.sketch.cols,
+                                    counters.MergeOp(t.sketch.merge_op)),
+                reporters=t.reporters)
         self.sketch_base = layout["sketch"]
-        # essential reports applied, keyed by (reporter, seq), for the
-        # exactly-once audit
+        # essential reports applied, keyed by (reporter, seq), for the exactly-once audit
         self.applied_essential: dict[tuple[int, int], int] = {}
 
     def verb_cost(self, body: wire.Body) -> int:
@@ -383,8 +398,8 @@ def _generate_bodies(topology: Topology, workload: Workload, reporter_id: int,
                                           rng.randbytes(t.append.entry_len)))
     elif w.kind is WorkloadKind.POSTCARDS:
         if w.path_len_fixed is not None and not 1 <= w.path_len_fixed <= t.pc.hops:
-            raise ConfigError("workload.path_len_fixed",
-                              f"must be in [1, {t.pc.hops}] (pc.hops), got {w.path_len_fixed}")
+            raise ConfigError("workload.path_len_fixed", f"must be in [1, {t.pc.hops}] "
+                              f"(topology.pc.hops), got {w.path_len_fixed}")
         universe = 2 ** t.pc.value_bits
         flow = 0
         while len(bodies) < count:
@@ -396,12 +411,10 @@ def _generate_bodies(topology: Topology, workload: Workload, reporter_id: int,
                     break
                 bodies.append(wire.PostcardBody(flow_id, hop, rng.randrange(universe),
                                                 path_len))
-    elif w.kind is WorkloadKind.SKETCH_COLUMNS:
+    else:  # SKETCH_COLUMNS
         for col in range(count):
             values = tuple(rng.randrange(1 << 20) for _ in range(t.sketch.rows))
             bodies.append(wire.SketchMergeBody(col, values))
-    else:
-        raise ConfigError("workload.kind", f"unknown kind {w.kind!r}")
     return bodies
 
 
@@ -543,23 +556,18 @@ def run(topology: Topology, workload: Workload, seed: int, dump_path=None) -> Ru
 
 
 def _build(cls, data: dict, path: str):
+    """``cls`` from its JSON object at ``path``, the dotted path from the config root."""
     if not isinstance(data, dict):
-        raise ConfigError(path or "<root>", f"expected an object, got {type(data).__name__}")
+        raise ConfigError(path, f"expected an object, got {type(data).__name__}")
     declared = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        where = f"{path}.{key}" if path else key
+        where = f"{path}.{key}"
         if key not in declared:
             raise ConfigError(where, "unknown field")
         section = declared[key].default_factory
         if is_dataclass(section):  # a nested section such as topology.link
             kwargs[key] = _build(section, value, where)
-        elif key == "kind" and cls is Workload:
-            try:
-                kwargs[key] = WorkloadKind(value)
-            except ValueError:
-                choices = ", ".join(k.value for k in WorkloadKind)
-                raise ConfigError(where, f"must be one of: {choices}") from None
         else:
             kwargs[key] = value
     try:
@@ -567,7 +575,7 @@ def _build(cls, data: dict, path: str):
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(path or cls.__name__.lower(), str(exc)) from None
+        raise ConfigError(path, str(exc)) from None
 
 
 def topology_from_dict(data: dict) -> Topology:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Optional, Union
 
 ENVELOPE_LEN = 6
@@ -154,8 +154,7 @@ class NackPacket:
     dst_port: int = DEFAULT_SRC_PORT
 
 
-class CongestionAction(Enum):
-    REDUCE_RATE = 1
+REDUCE_RATE = 1  # a congestion signal's action octet: the one action defined
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +162,6 @@ class CongestionSignal:
     """Translator request that a reporter reduce its report rate."""
 
     reporter_id: int
-    action: CongestionAction = CongestionAction.REDUCE_RATE
     src_port: int = DEFAULT_DST_PORT
     dst_port: int = DEFAULT_SRC_PORT
 
@@ -250,7 +248,7 @@ def encode(packet: Packet) -> bytes:
         fields = (packet.reporter_id, packet.expected_essential_seq)
     elif isinstance(packet, CongestionSignal):
         kind, version = Kind.CONGESTION, 1
-        fields = (packet.reporter_id, packet.action.value)
+        fields = (packet.reporter_id, REDUCE_RATE)
     elif isinstance(packet, SeqResetPacket):
         kind, version = Kind.SEQ_RESET, 1
         fields = (packet.reporter_id, packet.new_expected)
@@ -332,10 +330,8 @@ def decode(buf: bytes) -> Packet:
         if kind is Kind.SEQ_RESET:
             return SeqResetPacket(f[4], f[5], f[0], f[1])
         if kind is Kind.CONGESTION:
-            try:
-                action = CongestionAction(f[5])
-            except ValueError:
-                raise UnknownPrimitive("action", f"unknown action {f[5]}") from None
-            return CongestionSignal(f[4], action, f[0], f[1])
+            if f[5] != REDUCE_RATE:
+                raise UnknownPrimitive("action", f"unknown action {f[5]}")
+            return CongestionSignal(f[4], f[0], f[1])
         body = PostcardBody(f[7], f[8], f[10], f[9] or None)
     return DtaPacket(body, f[5], f[6], f[4], vk >> 4, f[0], f[1])

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from dta.append import (
     AppendEngine,
     AppendList,
-    BadEntryLength,
     PollCursor,
-    UnknownList,
     append_poll,
 )
 from dta.experiments import append_reference_run
@@ -173,9 +171,9 @@ def test_contiguous_occupancy_after_full_batches():
 
 def test_error_paths():
     region, engine = make_engine(batch_size=2, entry_len=4)
-    with pytest.raises(UnknownList):
+    with pytest.raises(ValueError, match="no list 9"):
         engine.ingest(9, b"\x00" * 4)
-    with pytest.raises(BadEntryLength):
+    with pytest.raises(ValueError, match="expected 4B entry, got 3B"):
         engine.ingest(0, b"\x00" * 3)
     with pytest.raises(ValueError):
         engine.add_list(AppendList(5, 0, capacity=7, entry_len=4))  # not a multiple

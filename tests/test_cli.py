@@ -175,13 +175,32 @@ def test_config_the_stores_refuse_fails_run_and_validate(tmp_path, capsys, topol
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, fields, message", [
+    ("kw", {"buflen": 0}, "buflen must be >= 1, got 0"),
+    ("ki", {"buflen": 0}, "buflen must be >= 1, got 0"),
+    ("append", {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+])
+def test_config_a_store_refuses_at_build_names_its_section(tmp_path, capsys, section, fields,
+                                                          message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"topology": {section: fields},
+                                "workload": {"kind": "kw-flows", "reports": 5}}))
+    for argv in (["run", "--config", str(path)], ["validate", str(path)]):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: topology.{section}: {message}\n"
+
+
 @pytest.mark.parametrize("config, field", [
-    ({"topology": {"kw": {"redundancy": 5}}, "workload": {"kind": "kw-flows"}}, "kw.redundancy"),
-    ({"topology": {"pc": {"redundancy": 0}}, "workload": {"kind": "postcards"}}, "pc.redundancy"),
+    ({"topology": {"kw": {"redundancy": 5}}, "workload": {"kind": "kw-flows"}},
+     "topology.kw.redundancy"),
+    ({"topology": {"pc": {"redundancy": 0}}, "workload": {"kind": "postcards"}},
+     "topology.pc.redundancy"),
     ({"topology": {"ki": {"redundancy": 7}}, "workload": {"kind": "ki-counters"}},
-     "ki.redundancy"),
+     "topology.ki.redundancy"),
     ({"topology": {"sketch": {"w_batch": 0}}, "workload": {"kind": "sketch-columns"}},
-     "sketch.w_batch"),
+     "topology.sketch.w_batch"),
     ({"workload": {"kind": "postcards", "path_len_fixed": 9}}, "workload.path_len_fixed"),
     ({"workload": {"kind": "postcards", "path_len_fixed": -1}}, "workload.path_len_fixed"),
 ], ids=["kw-redundancy", "pc-redundancy", "ki-redundancy", "sketch-w-batch",
@@ -199,11 +218,11 @@ def test_config_a_store_would_refuse_per_report_fails_run_and_validate(tmp_path,
 
 
 @pytest.mark.parametrize("pc, field", [
-    ({"value_bits": 2.5}, "pc.value_bits"),
-    ({"value_bits": 40}, "pc.value_bits"),
-    ({"value_bits": -1}, "pc.value_bits"),
-    ({"cell_bits": 0}, "pc.cell_bits"),
-    ({"cell_bits": 65}, "pc.cell_bits"),
+    ({"value_bits": 2.5}, "topology.pc.value_bits"),
+    ({"value_bits": 40}, "topology.pc.value_bits"),
+    ({"value_bits": -1}, "topology.pc.value_bits"),
+    ({"cell_bits": 0}, "topology.pc.cell_bits"),
+    ({"cell_bits": 65}, "topology.pc.cell_bits"),
 ], ids=["value-bits-fraction", "value-bits-40", "value-bits-negative", "cell-bits-0",
         "cell-bits-65"])
 def test_codec_the_run_cannot_build_fails_run_and_validate(tmp_path, capsys, pc, field):

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from dta import analysis, experiments
+from dta import analysis, experiments, sim
 from dta.experiments import (
+    McStats,
     SuiteResult,
     UnknownSuite,
     default_params,
@@ -14,10 +15,13 @@ from dta.experiments import (
     pc_monte_carlo,
     read_csv,
     suite_names,
+    tally,
     write_csv,
 )
 from dta.hashing import HashFamily, ValueCodec, value_codec
-from dta.keywrite import QueryPolicy
+from dta.keywrite import KwStore, QueryPolicy, kw_query, kw_write
+from dta.memstore import MemoryRegion, Outcome, QueryResult, Write
+from dta.postcarding import EmissionReason, EmittedChunk, PostcardStore, pc_query, pc_write
 
 EXPECTED_SUITES = {
     "kw-redundancy", "kw-longevity", "postcarding-cache", "postcarding-accuracy",
@@ -188,3 +192,46 @@ PINNED_ENGINE_COUNTS = [
 def test_engine_counters_are_pinned(run, expected):
     stats = run()
     assert (stats.trials, stats.correct, stats.empty, stats.ambiguous, stats.wrong) == expected
+
+
+def _kw_answers():
+    """Key-Write answers for a key written once, one never written, and one whose copies
+    disagree; and the value written."""
+    store = KwStore(MemoryRegion(4096 * 8), 4096, 32, 4, family=HashFamily(3))
+    collector = sim.Collector(store.region)
+    collector.apply(kw_write(store, b"value", b"AAAA", 2))
+    first, second = kw_write(store, b"ambiguous", b"AAAA", 2)
+    assert first.address != second.address
+    collector.apply([first, Write(second.address, second.payload[:-4] + b"BBBB")])
+    return [kw_query(store, key, 2) for key in (b"value", b"empty", b"ambiguous")], b"AAAA"
+
+
+def _pc_answers():
+    """Postcarding answers for a flow written once, one never written, and one whose
+    chunk copies hold different paths; and the path written."""
+    family = HashFamily(3)
+    store = PostcardStore(MemoryRegion(4096 * 32), 4096, 5, 32, ValueCodec(family, 16, 32),
+                          family=family)
+    collector = sim.Collector(store.region)
+
+    def chunk(flow, path):
+        return EmittedChunk(flow, path + (None,) * (5 - len(path)), EmissionReason.COMPLETE)
+
+    collector.apply(pc_write(store, chunk(1, (1, 2, 3)), 2))
+    first, _ = pc_write(store, chunk(3, (1, 2, 3)), 2)
+    _, second = pc_write(store, chunk(3, (4, 5)), 2)
+    assert first.address != second.address
+    collector.apply([first, second])
+    return [pc_query(store, flow, 2) for flow in (1, 2, 3)], (1, 2, 3)
+
+
+@pytest.mark.parametrize("answers", [_kw_answers, _pc_answers], ids=["kw", "pc"])
+def test_stores_answer_one_query_result_that_tally_classifies(answers):
+    results, written = answers()
+    assert all(type(res) is QueryResult for res in results)
+    assert [res.outcome for res in results] == [Outcome.VALUE, Outcome.EMPTY, Outcome.AMBIGUOUS]
+    assert results[0].value == written
+    results.append(results[0])  # the written value again, where another one is expected
+    expected = [written, None, None, "another"]
+    stats = tally(range(4), results.__getitem__, expected.__getitem__)
+    assert stats == McStats(trials=4, correct=1, empty=1, ambiguous=1, wrong=1)

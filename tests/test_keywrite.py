@@ -9,15 +9,20 @@ from dta.experiments import kw_measure_ages, kw_write_stream, stream_key, stream
 from dta.hashing import Domain, HashFamily
 from dta.keywrite import (
     MAX_REDUNDANCY,
-    BadValueLength,
-    KwQueryResult,
     KwStore,
-    QueryOutcome,
     QueryPolicy,
     kw_query,
     kw_write,
 )
-from dta.memstore import FetchAdd, MemoryRegion, QueuePair, Write, apply_verb
+from dta.memstore import (
+    FetchAdd,
+    MemoryRegion,
+    Outcome,
+    QueryResult,
+    QueuePair,
+    Write,
+    apply_verb,
+)
 
 
 def make_store(buflen=64, bits=32, value_len=4, seed=1):
@@ -65,7 +70,7 @@ def ref_kw_write(store, key, data, n_redundancy):
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(data) != store.value_len:
-        raise BadValueLength(f"expected {store.value_len}B value, got {len(data)}B")
+        raise ValueError(f"expected {store.value_len}B value, got {len(data)}B")
     csum = store.family.key_checksum(key, store.checksum_bits)
     payload = csum.to_bytes(ref_csum_len(store), "little") + data
     return [Write(ref_slot_address(store, ref_slot(store.family, n, key, store.buflen)), payload)
@@ -83,16 +88,16 @@ def ref_kw_query(store, key, n_redundancy, threshold=1, policy=QueryPolicy.PLURA
             counts[value] = counts.get(value, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if not ranked:
-        return KwQueryResult(QueryOutcome.EMPTY)
+        return QueryResult(Outcome.EMPTY)
     if policy is QueryPolicy.SINGLE_VALUE:
         if len(ranked) == 1:
-            return KwQueryResult(QueryOutcome.VALUE, ranked[0][0])
-        return KwQueryResult(QueryOutcome.AMBIGUOUS)
+            return QueryResult(Outcome.VALUE, ranked[0][0])
+        return QueryResult(Outcome.AMBIGUOUS)
     top_value, top_count = ranked[0]
     tied = len(ranked) > 1 and ranked[1][1] == top_count
     if tied or top_count < threshold:
-        return KwQueryResult(QueryOutcome.AMBIGUOUS)
-    return KwQueryResult(QueryOutcome.VALUE, top_value)
+        return QueryResult(Outcome.AMBIGUOUS)
+    return QueryResult(Outcome.VALUE, top_value)
 
 
 def ref_ki_increment(store, key, delta, n_redundancy):
@@ -174,7 +179,7 @@ def test_kw_reference_run_meets_every_outcome():
         for _ in range(6):
             results += kw_against_reference(rng, bits, 2, 6, 5, rng.getrandbits(64), ops=200)
     plurality, single = QueryPolicy.PLURALITY, QueryPolicy.SINGLE_VALUE
-    value, empty, ambiguous = QueryOutcome.VALUE, QueryOutcome.EMPTY, QueryOutcome.AMBIGUOUS
+    value, empty, ambiguous = Outcome.VALUE, Outcome.EMPTY, Outcome.AMBIGUOUS
     cases = {
         "empty": [r for r in results if r[1] is empty],
         "value": [r for r in results if r[1] is value],
@@ -259,7 +264,7 @@ def test_query_right_after_write():
     store = make_store()
     run_writes(store, kw_write(store, b"key", b"data", 2))
     res = kw_query(store, b"key", 2)
-    assert res.outcome is QueryOutcome.VALUE
+    assert res.outcome is Outcome.VALUE
     assert res.value == b"data"
 
 
@@ -273,7 +278,7 @@ def test_query_survives_one_overwrite():
     qp = QueuePair()
     apply_verb(store.region, qp, 0, Write(ref_slot_address(store, slot), clobber))
     res = kw_query(store, b"key", 2)
-    assert res.outcome is QueryOutcome.VALUE
+    assert res.outcome is Outcome.VALUE
     assert res.value == b"data"
 
 
@@ -281,7 +286,7 @@ def test_query_empty_on_fresh_store_unless_zero_checksum():
     store = make_store()
     keys = [stream_key(3, i) for i in range(50)]
     outcomes = {kw_query(store, k, 2).outcome for k in keys}
-    assert outcomes == {QueryOutcome.EMPTY}
+    assert outcomes == {Outcome.EMPTY}
 
 
 def test_plurality_tie_is_ambiguous():
@@ -295,33 +300,33 @@ def test_plurality_tie_is_ambiguous():
     apply_verb(store.region, qp, 0,
                Write(ref_slot_address(store, slot1), csum.to_bytes(4, "little") + b"bbbb"))
     res = kw_query(store, b"key", 2)
-    assert res.outcome is QueryOutcome.AMBIGUOUS
+    assert res.outcome is Outcome.AMBIGUOUS
     # the single-value policy also refuses: two distinct matching values
     res = kw_query(store, b"key", 2, policy=QueryPolicy.SINGLE_VALUE)
-    assert res.outcome is QueryOutcome.AMBIGUOUS
+    assert res.outcome is Outcome.AMBIGUOUS
 
 
 def test_consensus_threshold():
     store = make_store()
     run_writes(store, kw_write(store, b"key", b"data", 2))
-    assert kw_query(store, b"key", 2, threshold=2).outcome is QueryOutcome.VALUE
+    assert kw_query(store, b"key", 2, threshold=2).outcome is Outcome.VALUE
     run_writes(store, kw_write(store, b"solo", b"data", 1))
     # only one copy exists; demanding two matches makes it ambiguous
     res = kw_query(store, b"solo", 1, threshold=2)
-    assert res.outcome is QueryOutcome.AMBIGUOUS
+    assert res.outcome is Outcome.AMBIGUOUS
 
 
 def test_query_with_assumed_maximum_redundancy():
     store = make_store(buflen=1024)
     run_writes(store, kw_write(store, b"key", b"data", 1))
     res = kw_query(store, b"key", 4)  # reader assumes the maximum
-    assert res.outcome is QueryOutcome.VALUE
+    assert res.outcome is Outcome.VALUE
     assert res.value == b"data"
 
 
 def test_value_length_enforced():
     store = make_store(value_len=4)
-    with pytest.raises(BadValueLength):
+    with pytest.raises(ValueError, match="expected 4B value, got 16B"):
         kw_write(store, b"key", b"longer than four", 1)
 
 

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dta.hashing import BLANK, Domain, HashFamily, ValueCodec, ValueOutsideUniverse
-from dta.memstore import MemoryRegion, QueuePair, Write, apply_verb
+from dta.hashing import BLANK, Domain, HashFamily, ValueCodec
+from dta.memstore import MemoryRegion, Outcome, QueryResult, QueuePair, Write, apply_verb
 from dta.postcarding import (
     EmissionReason,
     EmittedChunk,
-    HopOutOfRange,
-    PathOutcome,
     PostcardCache,
-    PostcardQueryResult,
     PostcardStore,
     pc_ingest,
     pc_query,
@@ -70,7 +67,7 @@ def ref_chunk_address(store, chunk):
 def ref_encode(codec, v):
     """The code of ``v``, hashed afresh: member (PC_VALUE, 0) of a tagged input."""
     if v is not BLANK and not (isinstance(v, int) and 0 <= v < codec.universe_size):
-        raise ValueOutsideUniverse(f"{v!r} not in [0, {codec.universe_size}) or BLANK")
+        raise ValueError(f"{v!r} not in [0, {codec.universe_size}) or BLANK")
     data = b"\x00" if v is BLANK else b"\x01" + struct.pack("<Q", v)
     return codec.family.raw64(Domain.PC_VALUE, 0, data) >> (64 - codec.bits)
 
@@ -128,10 +125,10 @@ def ref_pc_query(store, flow_id, n_redundancy):
         if decoded is not None:
             paths.add(decoded)
     if not paths:
-        return PostcardQueryResult(PathOutcome.EMPTY)
+        return QueryResult(Outcome.EMPTY)
     if len(paths) > 1:
-        return PostcardQueryResult(PathOutcome.AMBIGUOUS)
-    return PostcardQueryResult(PathOutcome.PATH, paths.pop())
+        return QueryResult(Outcome.AMBIGUOUS)
+    return QueryResult(Outcome.VALUE, paths.pop())
 
 
 def test_complete_path_emits_once_no_blanks():
@@ -174,9 +171,9 @@ def test_eviction_plus_completion_in_one_arrival():
 
 def test_ingest_validation():
     cache = PostcardCache(slots=4, hops=B, family=HashFamily(SEED), universe_size=16)
-    with pytest.raises(HopOutOfRange):
+    with pytest.raises(ValueError, match=r"hop 5 outside \[0, 5\)"):
         pc_ingest(cache, 1, B, 0)
-    with pytest.raises(ValueOutsideUniverse):
+    with pytest.raises(ValueError, match=r"16 outside \[0, 16\)"):
         pc_ingest(cache, 1, 0, 16)
 
 
@@ -188,8 +185,8 @@ def test_write_then_query_roundtrip():
     assert all(len(v.payload) == store.chunk_stride for v in verbs)
     run_writes(store, verbs)
     res = pc_query(store, 99, 2)
-    assert res.outcome is PathOutcome.PATH
-    assert res.values == (3, 1, 4)
+    assert res.outcome is Outcome.VALUE
+    assert res.value == (3, 1, 4)
 
 
 def test_query_reads_across_redundancies():
@@ -199,7 +196,7 @@ def test_query_reads_across_redundancies():
     two = pc_write(store, chunk, 2)
     run_writes(store, two)
     for n in (1, 4):
-        assert pc_query(store, 77, n) == PostcardQueryResult(PathOutcome.PATH, (6, 5, 4))
+        assert pc_query(store, 77, n) == QueryResult(Outcome.VALUE, (6, 5, 4))
     assert [w.address for w in pc_write(store, chunk, 1)] == [two[0].address]
 
 
@@ -248,13 +245,13 @@ def test_missing_middle_hop_is_invalid():
     store = make_store()
     chunk = EmittedChunk(7, (1, None, 3, None, None), EmissionReason.EVICTED)
     run_writes(store, pc_write(store, chunk, 2))
-    assert pc_query(store, 7, 2).outcome is PathOutcome.EMPTY
+    assert pc_query(store, 7, 2).outcome is Outcome.EMPTY
 
 
 def test_untouched_store_yields_empty():
     store = make_store(chunks=64)
     outcomes = {pc_query(store, flow, 2).outcome for flow in range(5000)}
-    assert outcomes == {PathOutcome.EMPTY}
+    assert outcomes == {Outcome.EMPTY}
 
 
 def test_disagreeing_valid_chunks_are_ambiguous():
@@ -271,7 +268,7 @@ def test_disagreeing_valid_chunks_are_ambiguous():
                                           EmissionReason.EVICTED), 1)
     run_writes(store, forged)
     res = pc_query(store, 123, 2)
-    assert res.outcome is PathOutcome.AMBIGUOUS
+    assert res.outcome is Outcome.AMBIGUOUS
 
 
 def test_xor_involution_every_hop_value():
@@ -284,8 +281,8 @@ def test_xor_involution_every_hop_value():
             chunk = EmittedChunk(hop * 1000 + v, tuple(cells), EmissionReason.EVICTED)
             run_writes(store, pc_write(store, chunk, 1))
             res = pc_query(store, hop * 1000 + v, 1)
-            assert res.outcome is PathOutcome.PATH
-            assert res.values == tuple([v] * (hop + 1))
+            assert res.outcome is Outcome.VALUE
+            assert res.value == tuple([v] * (hop + 1))
 
 
 def test_overwritten_chunks_rarely_decode():
@@ -294,7 +291,7 @@ def test_overwritten_chunks_rarely_decode():
     run_writes(store, pc_write(
         store, EmittedChunk(1, (5, 6, 7, 8, 9), EmissionReason.COMPLETE), 1))
     hits = sum(
-        pc_query(store, flow, 1).outcome is not PathOutcome.EMPTY
+        pc_query(store, flow, 1).outcome is not Outcome.EMPTY
         for flow in range(2, 3000)
     )
     assert hits == 0
@@ -382,7 +379,7 @@ def test_pc_reference_run_meets_every_outcome():
         for hops in (1, 3, 5, 8):
             met += pc_against_reference(rng, bits, hops, rng.randint(0, 6), rng.randint(4, 8),
                                         rng.randint(1, 40), rng.getrandbits(64), ops=60)
-    cases = (PathOutcome.PATH, PathOutcome.EMPTY, PathOutcome.AMBIGUOUS, "invalid prefix")
+    cases = (Outcome.VALUE, Outcome.EMPTY, Outcome.AMBIGUOUS, "invalid prefix")
     assert {case: met[case] >= 10 for case in cases} == dict.fromkeys(cases, True)
 
 
@@ -400,7 +397,7 @@ def test_encode_is_the_keyed_hash_of_every_value():
         keyed(b"\x01" + struct.pack("<Q", v)) for v in range(2 ** 12)]
     assert codec.encode(BLANK) == keyed(b"\x00")
     for bad in (-1, 2 ** 12, 1.0, None):
-        with pytest.raises(ValueOutsideUniverse):
+        with pytest.raises(ValueError, match=rf"{bad!r} not in \[0, 4096\) or BLANK"):
             codec.encode(bad)
 
 

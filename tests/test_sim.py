@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dta import sim, wire
-from dta.memstore import PSN_MOD, FetchAdd, MemoryRegion, reset_qp
-from dta.keywrite import QueryOutcome, kw_query
-from dta.postcarding import PathOutcome, pc_query
+from dta.memstore import PSN_MOD, FetchAdd, MemoryRegion, Outcome, reset_qp
+from dta.keywrite import kw_query
+from dta.postcarding import pc_query
 from dta.sim import (
     Collector,
     ConfigError,
@@ -35,7 +35,7 @@ def test_zero_loss_kw_run_applies_everything_and_answers_queries():
     assert report.qp_desyncs == 0
     for body in bodies:  # age-0 queries on a 64K store all succeed
         res = kw_query(s.translator.kw_store, body.key, topo.kw.redundancy)
-        assert res.outcome is QueryOutcome.VALUE
+        assert res.outcome is Outcome.VALUE
         assert res.value == body.value
 
 
@@ -143,7 +143,7 @@ def test_postcard_run_aggregates_paths():
         flows.setdefault(body.flow_id, []).append(body.value)
     complete = {f: vals for f, vals in flows.items() if len(vals) == 5}
     hits = sum(
-        pc_query(s.translator.pc_store, f, topo.pc.redundancy).values == tuple(vals)
+        pc_query(s.translator.pc_store, f, topo.pc.redundancy).value == tuple(vals)
         for f, vals in complete.items()
     )
     assert hits / len(complete) > 0.95  # rare chunk collisions may erase a path
@@ -334,9 +334,17 @@ def test_config_error_paths():
     with pytest.raises(ConfigError) as err:
         topology_from_dict({"reporters": 0})
     assert "reporters" in str(err.value)
+    assert err.value.path == "topology.reporters"
     with pytest.raises(ConfigError) as err:
         topology_from_dict({"link": {"loss_to_translator": 1.5}})
     assert "loss_to_translator" in str(err.value)
+    assert err.value.path == "topology.link.loss_to_translator"
+    with pytest.raises(ConfigError) as err:
+        topology_from_dict({"translator": {"fault_drop_verbs": 1}})
+    assert err.value.path == "topology.translator.fault_drop_verbs"
+    with pytest.raises(ConfigError) as err:
+        topology_from_dict({"kw": {"redundancy": 0}})
+    assert err.value.path == "topology.kw.redundancy"
     with pytest.raises(ConfigError) as err:
         topology_from_dict({"nonsense": 1})
     assert "nonsense" in str(err.value)
@@ -351,6 +359,15 @@ def test_config_error_paths():
     assert "workload.kind" in str(err.value)
     with pytest.raises(ConfigError):
         workload_from_dict({})
+
+
+def test_workload_coerces_and_checks_its_own_kind():
+    assert Workload("postcards").kind is WorkloadKind.POSTCARDS
+    assert Workload(WorkloadKind.POSTCARDS).kind is WorkloadKind.POSTCARDS
+    for bad in ("bogus", 3, None, []):
+        with pytest.raises(ConfigError, match="must be one of: kw-flows, postcards") as err:
+            Workload(bad)
+        assert err.value.path == "workload.kind"
 
 
 @pytest.mark.parametrize("rate", [0.5, 0, float("nan")])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dta.wire import (
     ENVELOPE_LEN,
+    REDUCE_RATE,
     AppendBody,
-    CongestionAction,
     CongestionSignal,
     DtaPacket,
     KeyIncrementBody,
@@ -166,6 +166,16 @@ def test_unknown_primitive_rejected():
         decode(bytes(octets))
 
 
+@pytest.mark.parametrize("action", [0, 2, 255])
+def test_congestion_action_other_than_reduce_rate_rejected(action):
+    octets = bytearray(encode(golden_packet("congestion")))
+    assert octets[-1] == REDUCE_RATE
+    octets[-1] = action
+    with pytest.raises(UnknownPrimitive) as err:
+        decode(bytes(octets))
+    assert err.value.field == "action"
+
+
 def test_declared_key_length_must_match():
     octets = bytearray(encode(golden_packet("key_increment")))
     octets[17] = 3  # claims a 3-octet key; 2 octets remain
@@ -318,11 +328,9 @@ def reference_decode(buf):
         action = r.u8("action")
         if r.remaining:
             raise LengthMismatch("action", f"{r.remaining} trailing octets")
-        try:
-            return CongestionSignal(reporter, CongestionAction(action),
-                                    src_port=src_port, dst_port=dst_port)
-        except ValueError:
-            raise UnknownPrimitive("action", f"unknown action {action}") from None
+        if action != REDUCE_RATE:
+            raise UnknownPrimitive("action", f"unknown action {action}")
+        return CongestionSignal(reporter, src_port=src_port, dst_port=dst_port)
 
     flags = r.u8("flags")
     reporter_id = r.u32("reporter_id")
