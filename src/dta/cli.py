@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 mismatch reported by
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -24,12 +25,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_with(message))
-
-    @staticmethod
-    def _exit_with(message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _default_seed() -> int:
@@ -37,8 +34,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        print(f"error: {ENV_SEED}={raw!r} is not an integer", file=sys.stderr)
-        raise SystemExit(1) from None
+        raise ValueError(f"{ENV_SEED}={raw!r} is not an integer") from None
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -63,6 +59,9 @@ def _load_simulation(path, seed: int) -> tuple[dict, sim.Simulation]:
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = sorted(config.keys() - {"topology", "workload"})
+    if unknown:
+        raise sim.ConfigError(unknown[0], "unknown field")
     topology = sim.topology_from_dict(config.get("topology", {}))
     workload = sim.workload_from_dict(config.get("workload", {}))
     return config, sim.Simulation(topology, workload, seed)
@@ -70,11 +69,7 @@ def _load_simulation(path, seed: int) -> tuple[dict, sim.Simulation]:
 
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        config, simulation = _load_simulation(args.config, seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config, simulation = _load_simulation(args.config, seed)
     report = simulation.run(args.dump)
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
@@ -89,15 +84,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        result = experiments.experiment_suite(args.name, _parse_overrides(args.set), seed)
-    except experiments.UnknownSuite:
-        names = ", ".join(experiments.suite_names())
-        print(f"error: unknown suite {args.name!r}; choices: {names}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
+    result = experiments.experiment_suite(args.name, _parse_overrides(args.set), seed)
     if args.json:
         print(json.dumps(result.rows, indent=2, default=str))
     if args.out:
@@ -110,17 +97,13 @@ def _cmd_suite(args) -> int:
 
 def _cmd_bounds(args) -> int:
     table = {"model": "kw", "N": args.N, "b": args.b, "alpha": args.alpha}
-    try:
-        if args.hops is None:
-            model, extra = analysis.KwModel(args.N, args.b, args.alpha), {}
-        else:
-            table["model"] = "postcarding"
-            model = analysis.PcModel(args.N, args.b, args.alpha, args.hops, args.value_bits)
-            extra = {"B": args.hops, "V_bits": args.value_bits}
-        table.update(analysis.bounds(model, args.exact_m), **extra)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.hops is None:
+        model, extra = analysis.KwModel(args.N, args.b, args.alpha), {}
+    else:
+        table["model"] = "postcarding"
+        model = analysis.PcModel(args.N, args.b, args.alpha, args.hops, args.value_bits)
+        extra = {"B": args.hops, "V_bits": args.value_bits}
+    table.update(analysis.bounds(model, args.exact_m), **extra)
     if args.json:
         print(json.dumps(table))
     else:
@@ -132,13 +115,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_dump(args) -> int:
     if args.offset < 0 or (args.length is not None and args.length < 0):
-        print("error: --offset and --length must be >= 0", file=sys.stderr)
-        return 1
-    try:
-        data = Path(args.file).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("--offset and --length must be >= 0")
+    data = Path(args.file).read_bytes()
     start = args.offset
     end = len(data) if args.length is None else min(len(data), start + args.length)
     for off in range(start, end, 16):
@@ -148,12 +126,8 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    try:
-        a = Path(args.a).read_bytes()
-        b = Path(args.b).read_bytes()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    a = Path(args.a).read_bytes()
+    b = Path(args.b).read_bytes()
     if a == b:
         print(f"identical ({len(a)} bytes)")
         return 0
@@ -169,18 +143,14 @@ def _cmd_diff(args) -> int:
 
 def _cmd_validate(args) -> int:
     path = Path(args.file)
-    try:
-        if path.suffix == ".csv":
-            with open(path) as fh:
-                meta, rows = experiments.read_csv(fh)
-            print(f"ok: {len(rows)} rows, metadata keys: {sorted(meta)}")
-            return 0
-        _load_simulation(path, 0)
-        print("ok: config valid")
+    if path.suffix == ".csv":
+        with open(path) as fh:
+            meta, rows = experiments.read_csv(fh)
+        print(f"ok: {len(rows)} rows, metadata keys: {sorted(meta)}")
         return 0
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _load_simulation(path, 0)
+    print("ok: config valid")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +208,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    return args.fn(args)
+    # the one exit for bad input: a config, file, CSV or value a command refuses
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

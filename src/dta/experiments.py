@@ -45,10 +45,6 @@ from .postcarding import (
 )
 
 
-class UnknownSuite(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -660,25 +656,31 @@ _SUITES: dict[str, tuple[dict, Callable[[dict, int], list[dict]]]] = {
 }
 
 
+# real-valued parameters with whole defaults: their CSVs pin the defaults as written
+_REAL_PARAMS = frozenset({"pc_value_bits", "reports_per_step"})
+
+
 def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
 def default_params(name: str) -> dict:
     if name not in _SUITES:
-        raise UnknownSuite(name)
+        raise ValueError(f"unknown suite {name!r}; choices: {', '.join(suite_names())}")
     return json.loads(json.dumps(_SUITES[name][0]))  # deep copy
 
 
 def experiment_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteResult:
-    """Run one named suite over its parameter grid; an empty grid is an error."""
-    if name not in _SUITES:
-        raise UnknownSuite(name)
-    defaults, fn = _SUITES[name]
+    """Run one named suite over its parameter grid; an empty grid is an error.
+
+    Each override must have its default's type (``sim.check_leaf``).
+    """
     merged = default_params(name)
+    fn = _SUITES[name][1]
     for key, value in (params or {}).items():
-        if key not in defaults:
-            raise KeyError(f"unknown parameter {key!r} for suite {name!r}")
+        if key not in merged:
+            raise ValueError(f"unknown parameter {key!r} for suite {name!r}")
+        sim.check_leaf(key, value, 0.0 if key in _REAL_PARAMS else merged[key])
         merged[key] = value
     rows = fn(merged, seed)
     if not rows:

@@ -70,7 +70,7 @@ class TokenBucket:
     tokens: float = field(default=-1.0)
 
     def __post_init__(self):
-        if self.rate < 0 or self.burst <= 0:
+        if not (self.rate >= 0 and self.burst > 0):  # written so NaN fails too
             raise ValueError(f"need rate >= 0 and burst > 0, got {self.rate}/{self.burst}")
         if self.tokens < 0:
             self.tokens = self.burst

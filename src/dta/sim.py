@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, asdict, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from enum import Enum
 from typing import Optional
 
@@ -169,6 +169,8 @@ class Workload:
             raise ConfigError("workload.reports", f"must be >= 0, got {self.reports}")
         if self.key_space < 1:
             raise ConfigError("workload.key_space", f"must be >= 1, got {self.key_space}")
+        if self.max_delta < 0:
+            raise ConfigError("workload.max_delta", f"must be >= 0, got {self.max_delta}")
         # a reporter sends only once its step budget reaches 1; written so NaN fails too
         if not self.reports_per_step >= 1:
             raise ConfigError("workload.reports_per_step",
@@ -221,7 +223,7 @@ def _region_layout(t: Topology) -> dict[str, int]:
     for name, size in sizes.items():
         base = (base + 7) // 8 * 8  # keep counters aligned
         layout[name] = base
-        base += size
+        base += max(size, 0)  # a negative size is the store's to refuse, by its section
     layout["total"] = base
     return layout
 
@@ -301,6 +303,8 @@ class Translator:
             self.pc_cache = postcarding.PostcardCache(
                 t.pc.cache_slots, t.pc.hops, self.family, 2 ** t.pc.value_bits)
         with _section("append"):
+            if t.append.lists < 1:
+                raise ValueError(f"lists must be >= 1, got {t.append.lists}")
             self.append_engine = append_mod.AppendEngine(t.append.batch_size)
             for i in range(t.append.lists):
                 self.append_engine.add_list(append_mod.AppendList(
@@ -432,9 +436,10 @@ class Simulation:
         self._rev_rng = random.Random(f"{seed}:rev")
         self.translator = Translator(topology, self.report,
                                      random.Random(f"{seed}:fault"))
-        self.reporters = [flowctl.ReporterState(r, topology.backlog_capacity,
-                                                initial_rate=workload.reports_per_step)
-                          for r in range(topology.reporters)]
+        with _section("backlog_capacity"):
+            self.reporters = [flowctl.ReporterState(r, topology.backlog_capacity,
+                                                    initial_rate=workload.reports_per_step)
+                              for r in range(topology.reporters)]
         for rep in self.reporters:
             if workload.kind is WorkloadKind.SKETCH_COLUMNS:
                 share = topology.sketch.cols  # every reporter ships its whole sketch
@@ -555,6 +560,24 @@ def run(topology: Topology, workload: Workload, seed: int, dump_path=None) -> Ru
     return Simulation(topology, workload, seed).run(dump_path)
 
 
+# JSON types a leaf takes, by the type of its field's default; any other type takes itself
+_ACCEPTS = {"float": ("int", "float"), "NoneType": ("int", "null")}
+
+
+def check_leaf(where: str, value, default) -> None:
+    """Refuse a JSON leaf whose type is not its field's, read off the field's default.
+
+    An int takes no bool; a list types each of its items by its default's first.
+    """
+    got = "null" if value is None else type(value).__name__
+    accepts = _ACCEPTS.get(type(default).__name__, (type(default).__name__,))
+    if got not in accepts:
+        raise ConfigError(where, f"expected {' or '.join(accepts)}, got {got}")
+    if got == "list":
+        for i, item in enumerate(value):
+            check_leaf(f"{where}[{i}]", item, default[0])
+
+
 def _build(cls, data: dict, path: str):
     """``cls`` from its JSON object at ``path``, the dotted path from the config root."""
     if not isinstance(data, dict):
@@ -565,17 +588,13 @@ def _build(cls, data: dict, path: str):
         where = f"{path}.{key}"
         if key not in declared:
             raise ConfigError(where, "unknown field")
-        section = declared[key].default_factory
+        section, default = declared[key].default_factory, declared[key].default
         if is_dataclass(section):  # a nested section such as topology.link
-            kwargs[key] = _build(section, value, where)
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+            value = _build(section, value, where)
+        elif default is not MISSING:  # the required workload.kind: Workload checks it
+            check_leaf(where, value, default)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def topology_from_dict(data: dict) -> Topology:
@@ -585,6 +604,6 @@ def topology_from_dict(data: dict) -> Topology:
 
 def workload_from_dict(data: dict) -> Workload:
     """Build a Workload from parsed JSON, naming the offending field on error."""
-    if "kind" not in data:
+    if isinstance(data, dict) and "kind" not in data:
         raise ConfigError("workload.kind", "required field missing")
     return _build(Workload, data, "workload")

@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dta import sim
 from dta.cli import main
 from dta.experiments import read_csv
 
@@ -132,6 +140,8 @@ def test_validate_rejects_malformed_csv(tmp_path):
     path.write_text("# suite=x\na,b\n1,2,3\n")
     assert run_cli("validate", str(path)) == 1
     path.write_text("# suite=x\na,b\n1,2\n1\n")
+    assert run_cli("validate", str(path)) == 1
+    path.write_text("# suite=x\na,b\n" + "x" * 200000 + ",1\n")  # past csv's field limit
     assert run_cli("validate", str(path)) == 1
 
 
@@ -276,3 +286,180 @@ def test_readme_run_config_example_drains_exactly_once(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["drained"] is True
     assert report["exactly_once_ok"] is True
+
+
+def test_unwritable_out_and_dump_are_errors_not_tracebacks(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"workload": {"kind": "kw-flows", "reports": 5}}))
+    missing = tmp_path / "missing"
+    for argv in (["run", "--config", str(config), "--out", str(missing / "r.json")],
+                 ["run", "--config", str(config), "--dump", str(missing / "m.bin")],
+                 ["suite", "bounds", "--set", "alphas=[0.1]", "--out", str(missing / "b.csv")]):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"topology": {"kw": {"buflen": "x"}}}, "topology.kw.buflen: expected int, got str"),
+    ({"topology": {"kw": {"buflen": 2.5}}}, "topology.kw.buflen: expected int, got float"),
+    ({"topology": {"pc": {"hops": 2.5}}}, "topology.pc.hops: expected int, got float"),
+    ({"topology": {"reporters": "2"}}, "topology.reporters: expected int, got str"),
+    ({"topology": {"kw": {"redundancy": True}}},
+     "topology.kw.redundancy: expected int, got bool"),
+    ({"topology": {"link": {"loss_to_reporter": None}}},
+     "topology.link.loss_to_reporter: expected int or float, got null"),
+    ({"topology": {"sketch": {"merge_op": 1}}}, "topology.sketch.merge_op: expected str, got int"),
+    ({"topology": {"backlog_capacity": 0}},
+     "topology.backlog_capacity: backlog_capacity must be >= 1, got 0"),
+    ({"topology": {"kw": {"buflen": -100000}}}, "topology.kw: buflen must be >= 1, got -100000"),
+    ({"topology": {"kw": {"checksum_bits": -1000}}},
+     "topology.kw: checksum_bits must be in [1, 64], got -1000"),
+    ({"topology": {"append": {"lists": 0}}}, "topology.append: lists must be >= 1, got 0"),
+    ({"topology": {"translator": {"meter_burst": float("nan")}}},
+     "topology.translator: need rate >= 0 and burst > 0, got inf/nan"),
+    ({"workload": {"kind": "ki-counters", "max_delta": -1}},
+     "workload.max_delta: must be >= 0, got -1"),
+    ({"workload": {"kind": "postcards", "path_len_fixed": 2.5}},
+     "workload.path_len_fixed: expected int or null, got float"),
+    ({"workload": {"kind": "kw-flows", "essential": "no"}},
+     "workload.essential: expected bool, got str"),
+    ({"workload": 5}, "workload: expected an object, got int"),
+    ({"topolgy": {"reporters": 4}}, "topolgy: unknown field"),
+], ids=["kw-buflen-str", "kw-buflen-float", "pc-hops-float", "reporters-str",
+        "kw-redundancy-bool", "loss-null", "merge-op-int", "backlog-capacity-0",
+        "kw-buflen-negative", "kw-checksum-bits-negative", "append-lists-0", "meter-burst-nan",
+        "max-delta-negative", "path-len-float", "essential-str", "workload-int",
+        "misspelt-section"])
+def test_bad_config_is_one_error_line_naming_its_path(tmp_path, capsys, config, message):
+    config = {"workload": {"kind": "append-events", "reports": 5}, **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for argv in (["run", "--config", str(path)], ["validate", str(path)]):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_well_typed_leaves_are_accepted(tmp_path, capsys):
+    """A float field takes an int, and a ``None`` default takes null or an int."""
+    path = tmp_path / "cfg.json"
+    for config in ({"topology": {"link": {"loss_to_translator": 0}}, "workload": {
+                       "kind": "postcards", "path_len_fixed": None, "reports_per_step": 2}},
+                   {"workload": {"kind": "postcards", "path_len_fixed": 3}}):
+        path.write_text(json.dumps(config))
+        assert run_cli("validate", str(path)) == 0
+        assert capsys.readouterr().out == "ok: config valid\n"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("alphas=5", "alphas: expected list, got int"),
+    ('alphas=["x"]', "alphas[0]: expected int or float, got str"),
+    ("queries=x", "queries: expected int, got str"),
+    ("redundancies=[1,true]", "redundancies[1]: expected int, got bool"),
+    ("policy=3", "policy: expected str, got int"),
+])
+def test_suite_override_of_the_wrong_type_names_it(capsys, setting, message):
+    assert run_cli("suite", "kw-redundancy", "--set", setting) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_real_valued_suite_overrides_take_a_float(capsys):
+    assert run_cli("suite", "bounds", "--json", "--set", "alphas=[0.1]",
+                   "--set", "redundancies=[2]", "--set", "pc_value_bits=17.5") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {r["V_bits"] for r in rows if r["model"] == "postcarding"} == {17.5}
+    assert run_cli("suite", "flowctl-loss", "--set", "loss_rates=[0.01]",
+                   "--set", "reports=40", "--set", "reports_per_step=1.5") == 0
+
+
+def test_a_bad_seed_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("DTA_SEED", "x")
+    assert run_cli("suite", "bounds") == 1
+    assert capsys.readouterr().err == "error: DTA_SEED='x' is not an integer\n"
+
+
+def _declared(cls, path):
+    """Dotted paths of every leaf and nested section ``cls`` declares under ``path``."""
+    leaves, sections = [], []
+    for f in fields(cls):
+        where = f"{path}.{f.name}"
+        if is_dataclass(f.default_factory):
+            sections.append(where)
+            more_leaves, more_sections = _declared(f.default_factory, where)
+            leaves += more_leaves
+            sections += more_sections
+        else:
+            leaves.append(where)
+    return leaves, sections
+
+
+_TOPOLOGY_LEAVES, _TOPOLOGY_SECTIONS = _declared(sim.Topology, "topology")
+_WORKLOAD_LEAVES, _ = _declared(sim.Workload, "workload")
+_TARGETS = _TOPOLOGY_LEAVES + _TOPOLOGY_SECTIONS + _WORKLOAD_LEAVES
+_UNKNOWN_KEY = "zz_unknown"
+
+# every store small, so no mutation below allocates much or generates many bodies
+_SMALL_TOPOLOGY = {
+    "reporters": 2, "kw": {"buflen": 64}, "pc": {"chunks": 64, "cache_slots": 16},
+    "append": {"lists": 2, "capacity": 16}, "ki": {"buflen": 64}, "sketch": {"cols": 4},
+}
+_BASES = [{"topology": _SMALL_TOPOLOGY, "workload": {"kind": kind, "reports": 6}}
+          for kind in ("kw-flows", "postcards", "append-events", "ki-counters",
+                       "sketch-columns")]
+_POOL = st.sampled_from([None, True, False, "x", [], {}, 2.5, math.nan, math.inf, -math.inf])
+
+
+def _values(target):
+    """The bounded pool; ``pc.value_bits`` skips the ints whose codec takes long to build."""
+    if target == "topology.pc.value_bits":
+        return _POOL | st.integers(-3, 12) | st.integers(25, 40)
+    return _POOL | st.integers(-3, 40)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A small valid config with 1-3 leaves or sections replaced or unknown keys added."""
+    config = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    unknown = set()
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            parent = draw(st.sampled_from(["", "topology.", "workload."]
+                                          + [f"{section}." for section in _TOPOLOGY_SECTIONS]))
+            path, value = f"{parent}{_UNKNOWN_KEY}", 1
+            unknown.add(path)
+        else:
+            path = draw(st.sampled_from(_TARGETS))
+            value = draw(_values(path))
+        *parents, leaf = path.split(".")
+        node = config
+        for name in parents:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        node[leaf] = copy.deepcopy(value)  # the pool's [] and {} are shared
+    return config, unknown
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_configs())
+def test_validate_fuzz_is_ok_or_one_error_naming_a_declared_path(tmp_path_factory, case):
+    """Whatever the leaves hold, ``validate`` prints ``ok`` or ``error: <path>:``."""
+    config, unknown = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    if code == 0:
+        assert (out.getvalue(), err.getvalue()) == ("ok: config valid\n", "")
+        return
+    assert code == 1 and out.getvalue() == ""
+    match = re.fullmatch(r"error: ([\w.]+): [^\n]*\n", err.getvalue())
+    assert match, err.getvalue()
+    assert match.group(1) in set(_TARGETS) | unknown

@@ -8,7 +8,6 @@ from dta import analysis, experiments, sim
 from dta.experiments import (
     McStats,
     SuiteResult,
-    UnknownSuite,
     default_params,
     experiment_suite,
     kw_monte_carlo,
@@ -34,9 +33,10 @@ def test_registry_names():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(UnknownSuite):
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; choices: append-bench, "):
         experiment_suite("nope")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError,
+                       match=r"^unknown parameter 'not_a_param' for suite 'bounds'$"):
         experiment_suite("bounds", {"not_a_param": 1})
 
 
