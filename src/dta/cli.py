@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import analysis, experiments, sim
@@ -70,15 +71,15 @@ def _load_simulation(path, seed: int) -> tuple[dict, sim.Simulation]:
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     config, simulation = _load_simulation(args.config, seed)
-    report = simulation.run(args.dump)
-    config_hash = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-    payload = {"seed": seed, "config_hash": config_hash, **report.to_dict()}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    # both outputs are opened first, so a path that cannot be written is refused before the run
+    with ExitStack() as files:
+        out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        dump = args.dump and files.enter_context(open(args.dump, "wb"))
+        payload = {"seed": seed, "config_hash": config_hash, **simulation.run().to_dict()}
+        if dump:
+            simulation.translator.region.dump(dump)
+        print(json.dumps(payload, indent=2), file=out)
     return 0
 
 

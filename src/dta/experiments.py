@@ -354,10 +354,11 @@ def pc_monte_carlo(
     store = PostcardStore(MemoryRegion(chunks * stride), chunks, hops, cell_bits,
                           codec, family=family)
     collector = sim.Collector(store.region)
+    complete = EmissionReason.COMPLETE  # an enum member costs a lookup per read
 
     def write(flow_id: int) -> None:
         cells = tuple(pc_stream_values(family, flow_id, hops, universe))
-        chunk = EmittedChunk(flow_id, cells, EmissionReason.COMPLETE)
+        chunk = EmittedChunk(flow_id, cells, complete)
         collector.apply(pc_write(store, chunk, redundancy))
 
     def query(flow: int) -> QueryResult:

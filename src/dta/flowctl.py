@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from itertools import dropwhile
+from itertools import islice
 from typing import Optional, Union
 
 from .wire import (
@@ -126,23 +126,23 @@ class ReporterState:
     def handle_nack(self, nack: NackPacket) -> list[bytes]:
         """Go-back-N: resend every backlog entry from the NACKed sequence on.
 
-        The backlog is walked in the order its entries were sent, which stays
-        right when the sequence wraps past 2**32 - 1.  If the NACKed entry was
-        evicted (it precedes the oldest survivor, in serial-number order), the
-        gap up to that survivor is unrecoverable; a sequence reset precedes
-        the survivors so the translator stops waiting for the lost reports.
+        The backlog holds consecutive sequences, oldest first, so the NACKed
+        entry sits at its serial distance from the oldest, also across the
+        wrap past 2**32 - 1.  If it was evicted (it precedes the oldest
+        survivor, in serial-number order), the gap up to that survivor is
+        unrecoverable; a sequence reset precedes the survivors so the
+        translator stops waiting for the lost reports.
         """
-        expected = nack.expected_essential_seq
-        out = []
-        if expected not in self.backlog:
-            oldest = next(iter(self.backlog), (self.essential_seq + 1) & _SEQ_MASK)
-            if not 0 < (oldest - expected) & _SEQ_MASK < _SEQ_HALF:
+        backlog, out = self.backlog, []
+        oldest = next(iter(backlog), (self.essential_seq + 1) & _SEQ_MASK)
+        at = (nack.expected_essential_seq - oldest) & _SEQ_MASK
+        if at >= len(backlog):
+            if at <= _SEQ_HALF:  # at or ahead of the next sequence: nothing to resend
                 return out
             out.append(encode(SeqResetPacket(self.reporter_id, oldest)))
-            expected = oldest
-        for _, octets in dropwhile(lambda entry: entry[0] != expected, self.backlog.items()):
-            out.append(octets)
-            self.retransmissions += 1
+            at = 0
+        out += islice(backlog.values(), at, None)
+        self.retransmissions += len(backlog) - at
         return out
 
     def handle_congestion(self, signal: CongestionSignal) -> None:
@@ -163,13 +163,10 @@ class ReporterState:
             else:
                 self.handle_congestion(control)
         self.inbox.clear()
-        budget = self.rate
-        out: list[bytes] = []
-        outbox, pending = self.outbox, self.pending
-        while outbox and len(out) + 1 <= budget:
-            out.append(outbox.popleft())
-        while pending and len(out) + 1 <= budget:
-            out.append(self.send(pending.popleft(), flags))
+        budget, outbox, pending = self.rate, self.outbox, self.pending
+        out = [outbox.popleft() for _ in range(int(min(len(outbox), budget)))]
+        send, take = self.send, pending.popleft
+        out += [send(take(), flags) for _ in range(int(min(len(pending), budget - len(out))))]
         return out
 
 

@@ -61,6 +61,7 @@ class _BlankType:
 
 
 BLANK = _BlankType()
+_KW_CSUM, _CACHE_SLOT = int(Domain.KW_CSUM), int(Domain.CACHE_SLOT)  # per report: no enum lookup
 
 
 class HashFamily:
@@ -121,11 +122,11 @@ class HashFamily:
     def key_checksum(self, key: bytes, bits: int) -> int:
         """``bits``-wide checksum of a telemetry key (verifies query hits)."""
         _check_bits(bits)
-        return self.raw64(Domain.KW_CSUM, 0, key) >> (64 - bits)
+        return self.raw64(_KW_CSUM, 0, key) >> (64 - bits)
 
     def cache_slot(self, flow_key: bytes, slots: int) -> int:
         """Translator cache row for a flow's pending postcards."""
-        return self.raw64(Domain.CACHE_SLOT, 0, flow_key) % slots
+        return self.raw64(_CACHE_SLOT, 0, flow_key) % slots
 
 
 def _check_bits(bits: int) -> None:

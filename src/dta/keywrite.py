@@ -28,12 +28,14 @@ from enum import Enum
 from .hashing import MAX_REDUNDANCY, Domain, HashFamily
 from .memstore import AMBIGUOUS, EMPTY, MemoryRegion, Outcome, QueryResult, Write
 
-_KW_SLOT = int(Domain.KW_SLOT)  # a plain int: an enum member costs a lookup per call
-
 
 class QueryPolicy(Enum):
     PLURALITY = "plurality"
     SINGLE_VALUE = "single-value"
+
+
+# read per call, so kept out of their enums: an enum member costs a lookup per read
+_KW_SLOT, _SINGLE_VALUE, _VALUE = int(Domain.KW_SLOT), QueryPolicy.SINGLE_VALUE, Outcome.VALUE
 
 
 @dataclass
@@ -112,9 +114,9 @@ def kw_query(
     if not values:
         return EMPTY
 
-    if policy is QueryPolicy.SINGLE_VALUE:
+    if policy is _SINGLE_VALUE:
         if values.count(values[0]) == len(values):
-            return QueryResult(Outcome.VALUE, bytes(values[0]))
+            return QueryResult(_VALUE, bytes(values[0]))
         return AMBIGUOUS
 
     counts: dict[bytes, int] = {}
@@ -124,4 +126,4 @@ def kw_query(
     top = [value for value, count in counts.items() if count == top_count]
     if len(top) > 1 or top_count < threshold:
         return AMBIGUOUS
-    return QueryResult(Outcome.VALUE, top[0])
+    return QueryResult(_VALUE, top[0])

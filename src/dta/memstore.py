@@ -14,6 +14,8 @@ verbs are little-endian.
 Verbs, built per report, are plain slotted dataclasses (a frozen field costs
 about 250 ns to set).  The translator posts them one-sided and never reads a
 response: applying a verb tells it only whether the verb was accepted.
+``apply_verb`` reads ``QpState`` members as module constants: each read of an
+enum member costs about 100 ns on Python 3.11.
 
 A querier reading a store gets one ``QueryResult``: a value, nothing
 (``EMPTY``), or copies that disagree (``AMBIGUOUS``).  A store refuses a
@@ -55,6 +57,9 @@ AMBIGUOUS = QueryResult(Outcome.AMBIGUOUS)
 class QpState(Enum):
     OPEN = "open"
     DESYNCED = "desynced"
+
+
+_OPEN, _DESYNCED = QpState.OPEN, QpState.DESYNCED  # read per verb: see the module docstring
 
 
 @dataclass
@@ -107,10 +112,9 @@ class MemoryRegion:
     def snapshot(self) -> bytes:
         return bytes(self._buf)
 
-    def dump(self, path) -> None:
-        """Write the raw octets to a binary file for oracle comparison."""
-        with open(path, "wb") as fh:
-            fh.write(self._buf)
+    def dump(self, fh) -> None:
+        """Write the raw octets to an open binary file, for oracle comparison."""
+        fh.write(self._buf)
 
     def _check_span(self, address: int, length: int) -> None:
         if address < 0 or length < 0 or address + length > self.size:
@@ -147,10 +151,10 @@ def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> boo
         raise TypeError(f"unknown verb {verb!r}")
     if address < 0 or end > len(buf):
         region._check_span(address, end - address)  # raises, naming the span
-    if qp.state is QpState.DESYNCED:
+    if qp.state is _DESYNCED:
         return False
     if psn % PSN_MOD != qp.expected_psn:
-        qp.state = QpState.DESYNCED
+        qp.state = _DESYNCED
         return False
     qp.expected_psn = (qp.expected_psn + 1) % PSN_MOD
 
@@ -164,6 +168,6 @@ def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> boo
 
 def reset_qp(qp: QueuePair, new_psn: int) -> None:
     """Re-establish the connection: open the queue pair at ``new_psn``."""
-    qp.state = QpState.OPEN
+    qp.state = _OPEN
     qp.expected_psn = new_psn % PSN_MOD
 

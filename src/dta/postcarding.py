@@ -35,8 +35,6 @@ from typing import Optional
 from .hashing import BLANK, MAX_REDUNDANCY, Domain, HashFamily, ValueCodec
 from .memstore import AMBIGUOUS, EMPTY, MemoryRegion, Outcome, QueryResult, Write
 
-_PC_FLOW = int(Domain.PC_FLOW)  # a plain int: an enum member costs a lookup per call
-
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
@@ -104,6 +102,11 @@ class EmissionReason(Enum):
     EVICTED = "evicted"
 
 
+# read per call, so kept out of their enums: an enum member costs a lookup per read
+_PC_FLOW, _VALUE = int(Domain.PC_FLOW), Outcome.VALUE
+_COMPLETE, _EVICTED = EmissionReason.COMPLETE, EmissionReason.EVICTED
+
+
 @dataclass(frozen=True)
 class EmittedChunk:
     """A flow's aggregated postcards, ready for a chunk write.
@@ -148,7 +151,7 @@ class PostcardCache:
         return sum(1 for r in self._rows if r is not None)
 
     def _emit(self, row: _CacheRow, reason: EmissionReason) -> EmittedChunk:
-        if reason is EmissionReason.COMPLETE:
+        if reason is _COMPLETE:
             self.complete_emissions += 1
         else:
             self.early_emissions += 1
@@ -159,7 +162,7 @@ class PostcardCache:
         out = []
         for i, row in enumerate(self._rows):
             if row is not None:
-                out.append(self._emit(row, EmissionReason.EVICTED))
+                out.append(self._emit(row, _EVICTED))
                 self._rows[i] = None
         return out
 
@@ -185,7 +188,7 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
     idx = cache.family.cache_slot(_flow_key(flow_id), cache.slots)
     row = cache._rows[idx]
     if row is not None and row.flow_id != flow_id:
-        emitted.append(cache._emit(row, EmissionReason.EVICTED))
+        emitted.append(cache._emit(row, _EVICTED))
         row = None
     if row is None:
         row = _CacheRow(flow_id, [None] * cache.hops)
@@ -199,7 +202,7 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
 
     target = row.path_len if row.path_len is not None else cache.hops
     if row.filled >= target:
-        emitted.append(cache._emit(row, EmissionReason.COMPLETE))
+        emitted.append(cache._emit(row, _COMPLETE))
         cache._rows[idx] = None
     return emitted
 
@@ -254,4 +257,4 @@ def pc_query(store: PostcardStore, flow_id: int, n_redundancy: int) -> QueryResu
         return EMPTY
     if len(paths) > 1:
         return AMBIGUOUS
-    return QueryResult(Outcome.VALUE, paths.pop())
+    return QueryResult(_VALUE, paths.pop())

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from enum import Enum
@@ -319,67 +321,72 @@ class Translator:
                                     counters.MergeOp(t.sketch.merge_op)),
                 reporters=t.reporters)
         self.sketch_base = layout["sketch"]
-        # essential reports applied, keyed by (reporter, seq), for the exactly-once audit
-        self.applied_essential: dict[tuple[int, int], int] = {}
-
-    def verb_cost(self, body: wire.Body) -> int:
-        """Verbs one report, not a keepalive, costs the meter."""
-        if type(body) in (wire.KeyWriteBody, wire.KeyIncrementBody):
-            # a store refuses a higher redundancy, so no more is charged
-            return min(body.redundancy, MAX_REDUNDANCY)
-        if type(body) is wire.PostcardBody:
-            return self.topology.pc.redundancy
-        return 1
-
-    def translate(self, packet: wire.DtaPacket) -> list:
-        """Primitive dispatch: one decoded report, never a keepalive, to its verb list."""
-        body = packet.body
-        if isinstance(body, wire.KeyWriteBody):
-            return keywrite.kw_write(self.kw_store, body.key, body.value, body.redundancy)
-        if isinstance(body, wire.AppendBody):
-            return self.append_engine.ingest(body.list_id, body.entry)
-        if isinstance(body, wire.KeyIncrementBody):
-            return counters.ki_increment(self.ki_store, body.key, body.delta, body.redundancy)
-        if isinstance(body, wire.PostcardBody):
-            verbs = []
-            emitted = postcarding.pc_ingest(self.pc_cache, body.flow_id, body.hop,
-                                            body.value, body.path_len)
-            for chunk in emitted:
-                verbs += postcarding.pc_write(self.pc_store, chunk,
-                                              self.topology.pc.redundancy)
-            return verbs
-        # the one body class left: SketchMergeBody
-        counters.sm_ingest_column(self.sketch_state, packet.reporter_id, body.col_index,
-                                  list(body.values))
-        return counters.sm_flush_completed(self.sketch_state, self.sketch_base,
-                                           self.topology.sketch.w_batch)
+        # per reporter, the sequence of every essential report applied: the exactly-once audit
+        self.applied_seqs: defaultdict[int, array] = defaultdict(lambda: array("I"))
 
     def receive(self, raw: bytes) -> None:
         """Decode, flow-control and apply one datagram; its controls wait on ``flow.controls``."""
         packet = wire.decode(raw)
-        if isinstance(packet, wire.SeqResetPacket):
+        if type(packet) is wire.SeqResetPacket:
             self.flow.handle_seq_reset(packet)
             return
-        if flowctl.is_keepalive(packet.body):
-            self.flow.receive(packet, 0)  # a probe for gaps, never applied
-        elif self.flow.receive(packet, self.verb_cost(packet.body)):
+        cost = _ROUTES[type(packet.body)][0](self, packet.body)
+        if cost is None:
+            self.flow.receive(packet, 0)  # a keepalive: a probe for gaps, never applied
+        elif self.flow.receive(packet, cost):
             self.apply(packet)
 
     def apply(self, packet: wire.DtaPacket) -> None:
-        if packet.essential:
-            key = (packet.reporter_id, packet.essential_seq)
-            self.applied_essential[key] = self.applied_essential.get(key, 0) + 1
+        if packet.flags & wire.FLAG_ESSENTIAL:
+            self.applied_seqs[packet.reporter_id].append(packet.essential_seq)
         # a store refuses a report by raising ValueError before it changes any
         # state; flow.receive has moved the sequence past it on purpose, since
         # it did arrive in order and a NACK would only bring back octets the
         # store refuses again
         try:
-            verbs = self.translate(packet)
+            verbs = _ROUTES[type(packet.body)][1](self, packet, packet.body)
         except ValueError:
             self.report.reports_refused += 1
             return
-        self.collector.apply(verbs)
+        if verbs:
+            self.collector.apply(verbs)
         self.report.reports_applied += 1
+
+
+# Each body type's route: the verbs its report costs the meter (None: a keepalive,
+# which costs none and is never applied) and its translation to verbs.  Plain
+# functions of the translator, since bound methods held by it would make it a
+# reference cycle; the layers are module attributes read per call, so a wrapper
+# installed on one (keywrite.kw_write, say) sees every call.
+def _copies(tr: Translator, body) -> int:
+    return min(body.redundancy, MAX_REDUNDANCY)  # a store refuses more, so no more is charged
+
+
+def _postcard(tr: Translator, packet: wire.DtaPacket, body: wire.PostcardBody) -> list:
+    verbs = []
+    for chunk in postcarding.pc_ingest(tr.pc_cache, body.flow_id, body.hop, body.value,
+                                       body.path_len):
+        verbs += postcarding.pc_write(tr.pc_store, chunk, tr.topology.pc.redundancy)
+    return verbs
+
+
+def _sketch_merge(tr: Translator, packet: wire.DtaPacket, body: wire.SketchMergeBody) -> list:
+    counters.sm_ingest_column(tr.sketch_state, packet.reporter_id, body.col_index,
+                              list(body.values))
+    return counters.sm_flush_completed(tr.sketch_state, tr.sketch_base,
+                                       tr.topology.sketch.w_batch)
+
+
+_ROUTES = {
+    wire.KeyWriteBody: (_copies, lambda tr, packet, body: keywrite.kw_write(
+        tr.kw_store, body.key, body.value, body.redundancy)),
+    wire.AppendBody: (lambda tr, body: None if flowctl.is_keepalive(body) else 1,
+                      lambda tr, packet, body: tr.append_engine.ingest(body.list_id, body.entry)),
+    wire.KeyIncrementBody: (_copies, lambda tr, packet, body: counters.ki_increment(
+        tr.ki_store, body.key, body.delta, body.redundancy)),
+    wire.PostcardBody: (lambda tr, body: tr.topology.pc.redundancy, _postcard),
+    wire.SketchMergeBody: (lambda tr, body: 1, _sketch_merge),
+}
 
 
 def _generate_bodies(topology: Topology, workload: Workload, reporter_id: int,
@@ -453,7 +460,7 @@ class Simulation:
             ))
             self.report.reports_offered += len(rep.pending)
 
-    def run(self, dump_path=None) -> RunReport:
+    def run(self) -> RunReport:
         report = self.report
         flow = self.translator.flow
         flags = wire.make_flags(essential=self.workload.essential)
@@ -509,8 +516,6 @@ class Simulation:
         report.qp_desyncs = collector.qp_desyncs
         report.exactly_once_ok = self._exactly_once()
         report.memory_sha256 = hashlib.sha256(self.translator.region.snapshot()).hexdigest()
-        if dump_path is not None:
-            self.translator.region.dump(dump_path)
         return report
 
     def _deliver(self, arrivals: list[bytes]) -> None:
@@ -547,17 +552,17 @@ class Simulation:
         """Every offered essential report applied exactly once or counted lost."""
         if not self.workload.essential:
             return True
-        applied = self.translator.applied_essential
-        if any(count != 1 for count in applied.values()):
+        applied = self.translator.applied_seqs.values()
+        if any(len(set(seqs)) != len(seqs) for seqs in applied):
             return False
         # every reporter queue is empty once the run ends, so all offered
         # reports have been stamped, whatever their sequence numbers wrapped to
-        return len(applied) + self.report.unrecoverable == self.report.reports_offered
+        return sum(map(len, applied)) + self.report.unrecoverable == self.report.reports_offered
 
 
-def run(topology: Topology, workload: Workload, seed: int, dump_path=None) -> RunReport:
+def run(topology: Topology, workload: Workload, seed: int) -> RunReport:
     """Build and run one simulation; see Simulation for post-run inspection."""
-    return Simulation(topology, workload, seed).run(dump_path)
+    return Simulation(topology, workload, seed).run()
 
 
 # JSON types a leaf takes, by the type of its field's default; any other type takes itself

@@ -20,7 +20,9 @@ decode rejects any octet string encode could not have produced, naming the
 earliest malformed field.
 
 Reports and bodies, built per report, are plain slotted dataclasses (a frozen
-field costs about 250 ns to set); the rare control packets stay frozen.
+field costs about 250 ns to set); the rare control packets stay frozen.  encode
+and decode test kinds as plain ints: on Python 3.11 reading an enum member such
+as ``Kind.APPEND`` costs about 100 ns, several times a module global.
 """
 
 from __future__ import annotations
@@ -77,15 +79,11 @@ class KeyWriteBody:
     key: bytes
     value: bytes
 
-    kind = Kind.KEY_WRITE
-
 
 @dataclass(slots=True)
 class AppendBody:
     list_id: int
     entry: bytes
-
-    kind = Kind.APPEND
 
 
 @dataclass(slots=True)
@@ -94,15 +92,11 @@ class KeyIncrementBody:
     key: bytes
     delta: int
 
-    kind = Kind.KEY_INCREMENT
-
 
 @dataclass(slots=True)
 class SketchMergeBody:
     col_index: int
     values: tuple  # one 64-bit counter per sketch row
-
-    kind = Kind.SKETCH_MERGE
 
 
 @dataclass(slots=True)
@@ -111,8 +105,6 @@ class PostcardBody:
     hop: int
     value: int
     path_len: Optional[int] = None
-
-    kind = Kind.POSTCARDING
 
 
 Body = Union[KeyWriteBody, AppendBody, KeyIncrementBody, SketchMergeBody, PostcardBody]
@@ -138,10 +130,6 @@ class DtaPacket:
     version: int = 1
     src_port: int = DEFAULT_SRC_PORT
     dst_port: int = DEFAULT_DST_PORT
-
-    @property
-    def essential(self) -> bool:
-        return bool(self.flags & FLAG_ESSENTIAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,9 +191,11 @@ LAYOUT = {
     Kind.CONGESTION: (("reporter_id", "I"), ("action", "B")),
 }
 _ENVELOPE = (("src_port", "H"), ("dst_port", "H"), ("length", "H"), ("version/kind", "B"))
-_STRUCT = {kind: struct.Struct(">" + "".join(code for _, code in _ENVELOPE + fields))
-           for kind, fields in LAYOUT.items()}
-_KIND_OF_NIBBLE = tuple({k.value: k for k in Kind}.get(v) for v in range(16))
+# one struct per kind, indexed by the kind nibble (None: no such kind)
+_STRUCT = tuple(LAYOUT.get(v) and struct.Struct(">" + "".join(
+    code for _, code in _ENVELOPE + LAYOUT[v])) for v in range(16))
+(_KEY_WRITE, _APPEND, _KEY_INCREMENT, _SKETCH_MERGE, _POSTCARDING, _SEQ_RESET, _CONGESTION,
+ _NACK) = map(int, Kind)  # every member, in Kind's order
 
 
 def _check_u(name: str, value: int, limit: int) -> None:
@@ -215,63 +205,67 @@ def _check_u(name: str, value: int, limit: int) -> None:
 
 def encode(packet: Packet) -> bytes:
     """Canonical octets of a report or control packet; ValueError names a field out of range."""
-    tail = b""
-    if isinstance(packet, DtaPacket):
-        body = packet.body
-        if isinstance(body, AppendBody):
-            sub, tail = (body.list_id,), body.entry
-        elif isinstance(body, KeyIncrementBody):
-            sub, tail = (body.redundancy, len(body.key), body.delta), body.key
-        elif isinstance(body, KeyWriteBody):
-            sub, tail = (body.redundancy, len(body.key)), body.key + body.value
-        elif isinstance(body, SketchMergeBody):
-            sub = (body.col_index, len(body.values))
+    p, tail, version = packet, b"", 1
+    cls = type(p)
+    if cls is DtaPacket:
+        body, version = p.body, p.version
+        cls = type(body)
+        if cls is AppendBody:
+            kind, tail = _APPEND, body.entry
+            fields = (p.flags, p.reporter_id, p.essential_seq, body.list_id)
+        elif cls is KeyIncrementBody:
+            kind, tail = _KEY_INCREMENT, body.key
+            fields = (p.flags, p.reporter_id, p.essential_seq, body.redundancy, len(tail),
+                      body.delta)
+        elif cls is KeyWriteBody:
+            kind, tail = _KEY_WRITE, body.key + body.value
+            fields = (p.flags, p.reporter_id, p.essential_seq, body.redundancy, len(body.key))
+        elif cls is SketchMergeBody:
+            kind = _SKETCH_MERGE
+            fields = (p.flags, p.reporter_id, p.essential_seq, body.col_index, len(body.values))
             try:
                 tail = struct.pack(f">{len(body.values)}Q", *body.values)
             except struct.error:
                 for v in body.values:
                     _check_u("counter", v, _U64)
                 raise
-        elif isinstance(body, PostcardBody):
+        elif cls is PostcardBody:
             if body.path_len == 0:
                 raise ValueError("path_len 0 is reserved for 'not provided'; use None")
-            sub = (body.flow_id, body.hop, body.path_len or 0, body.value)
+            kind = _POSTCARDING
+            fields = (p.flags, p.reporter_id, p.essential_seq, body.flow_id, body.hop,
+                      body.path_len or 0, body.value)
         else:
             raise TypeError(f"unknown body {body!r}")
         if len(tail) > MAX_PAYLOAD:
             raise ValueError(f"payload of {len(tail)}B exceeds {MAX_PAYLOAD}B MTU budget")
-        kind = body.kind
-        fields = (packet.flags, packet.reporter_id, packet.essential_seq) + sub
-        version = packet.version
-    elif isinstance(packet, NackPacket):
-        kind, version = Kind.NACK, 1
-        fields = (packet.reporter_id, packet.expected_essential_seq)
-    elif isinstance(packet, CongestionSignal):
-        kind, version = Kind.CONGESTION, 1
-        fields = (packet.reporter_id, REDUCE_RATE)
-    elif isinstance(packet, SeqResetPacket):
-        kind, version = Kind.SEQ_RESET, 1
-        fields = (packet.reporter_id, packet.new_expected)
+    elif cls is NackPacket:
+        kind, fields = _NACK, (p.reporter_id, p.expected_essential_seq)
+    elif cls is CongestionSignal:
+        kind, fields = _CONGESTION, (p.reporter_id, REDUCE_RATE)
+    elif cls is SeqResetPacket:
+        kind, fields = _SEQ_RESET, (p.reporter_id, p.new_expected)
     else:
         raise TypeError(f"cannot encode {packet!r}")
     layout = _STRUCT[kind]
-    head = (packet.src_port, packet.dst_port, layout.size + len(tail), (version << 4) | kind)
     try:
-        return layout.pack(*head, *fields) + tail
+        return layout.pack(p.src_port, p.dst_port, layout.size + len(tail), version << 4 | kind,
+                           *fields) + tail
     except struct.error:
         _check_u("version", version, 15)
+        head = (p.src_port, p.dst_port, layout.size + len(tail), version << 4 | kind)
         for (name, code), value in zip(_ENVELOPE + LAYOUT[kind], head + fields):
             _check_u(name, value, (1 << 8 * struct.calcsize(code)) - 1)
         raise
 
 
-def _too_short(kind: Kind, n: int) -> WireError:
+def _too_short(kind: int, n: int) -> WireError:
     """Decode's error for ``n`` octets, too few for ``kind``: the first field that does not fit."""
     offset = ENVELOPE_LEN + 1
     for name, code in LAYOUT[kind]:
         size = struct.calcsize(code)
         if n - offset < size:
-            if kind is Kind.POSTCARDING and name == "value":
+            if kind == Kind.POSTCARDING and name == "value":
                 # the value is checked as the length of the rest, like a payload
                 return LengthMismatch("value", f"needs exactly 4 octets, {n - offset} left")
             return TruncatedPacket(name, f"needs {size} octets, {n - offset} left")
@@ -294,29 +288,29 @@ def decode(buf: bytes) -> Packet:
     if n == ENVELOPE_LEN:
         raise TruncatedPacket("version", "no room for version/kind octet")
     vk = buf[ENVELOPE_LEN]
-    kind = _KIND_OF_NIBBLE[vk & 0x0F]
-    if kind is None:
-        raise UnknownPrimitive("primitive", f"unknown kind {vk & 0x0F}")
-    if kind >= Kind.SEQ_RESET and vk >> 4 != 1:
-        raise UnknownPrimitive("version", f"control packets use version 1, got {vk >> 4}")
+    kind = vk & 0x0F
     layout = _STRUCT[kind]
+    if layout is None:
+        raise UnknownPrimitive("primitive", f"unknown kind {kind}")
+    if kind >= _SEQ_RESET and vk >> 4 != 1:
+        raise UnknownPrimitive("version", f"control packets use version 1, got {vk >> 4}")
     size = layout.size
     if n < size:
         raise _too_short(kind, n)
     f = layout.unpack_from(buf)
 
-    if kind is Kind.APPEND:
+    if kind == _APPEND:
         body = AppendBody(f[7], buf[size:])
-    elif kind is Kind.KEY_INCREMENT:
+    elif kind == _KEY_INCREMENT:
         if n - size != f[8]:
             raise LengthMismatch("key_len", f"declares {f[8]} octets, {n - size} left")
         body = KeyIncrementBody(f[7], buf[size:], f[9])
-    elif kind is Kind.KEY_WRITE:
+    elif kind == _KEY_WRITE:
         key_end = size + f[8]
         if key_end > n:
             raise LengthMismatch("key_len", f"declares {f[8]} octets, {n - size} left")
         body = KeyWriteBody(f[7], buf[size:key_end], buf[key_end:])
-    elif kind is Kind.SKETCH_MERGE:
+    elif kind == _SKETCH_MERGE:
         rows = f[8]
         if n - size != 8 * rows:
             raise LengthMismatch("rows", f"declares {8 * rows} octets, {n - size} left")
@@ -325,11 +319,11 @@ def decode(buf: bytes) -> Packet:
         if n != size:
             field = LAYOUT[kind][-1][0]
             raise LengthMismatch(field, f"{n - size} trailing octets")
-        if kind is Kind.NACK:
+        if kind == _NACK:
             return NackPacket(f[4], f[5], f[0], f[1])
-        if kind is Kind.SEQ_RESET:
+        if kind == _SEQ_RESET:
             return SeqResetPacket(f[4], f[5], f[0], f[1])
-        if kind is Kind.CONGESTION:
+        if kind == _CONGESTION:
             if f[5] != REDUCE_RATE:
                 raise UnknownPrimitive("action", f"unknown action {f[5]}")
             return CongestionSignal(f[4], f[0], f[1])

@@ -302,6 +302,17 @@ def test_unwritable_out_and_dump_are_errors_not_tracebacks(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump"])
+def test_unwritable_run_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, flag):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"workload": {"kind": "kw-flows", "reports": 5}}))
+    runs = []
+    monkeypatch.setattr(sim.Simulation, "run", lambda self, *a: runs.append(self))
+    assert run_cli("run", "--config", str(config), flag, str(tmp_path / "missing" / "x")) == 1
+    assert runs == []
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
 @pytest.mark.parametrize("config, message", [
     ({"topology": {"kw": {"buflen": "x"}}}, "topology.kw.buflen: expected int, got str"),
     ({"topology": {"kw": {"buflen": 2.5}}}, "topology.kw.buflen: expected int, got float"),

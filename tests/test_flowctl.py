@@ -9,6 +9,7 @@ from dta.flowctl import (
     is_keepalive,
 )
 from dta.wire import (
+    FLAG_ESSENTIAL,
     AppendBody,
     CongestionSignal,
     DtaPacket,
@@ -40,7 +41,7 @@ def test_non_essential_carries_count_without_increment():
     rep.send(REPORT, ESSENTIAL)
     octets = rep.send(AppendBody(0, b"\x00" * 4), make_flags())
     packet = decode(octets)
-    assert not packet.essential
+    assert not packet.flags & FLAG_ESSENTIAL
     assert packet.essential_seq == 1
     assert rep.essential_seq == 1
     assert len(rep.backlog) == 1
@@ -299,6 +300,26 @@ def test_go_back_n_across_the_sequence_wrap():
     rep = reporter_with_backlog([2**32 - 1, 0, 1, 2])
     resends = [decode(o) for o in rep.handle_nack(NackPacket(0, 0))]
     assert [p.essential_seq for p in resends] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("seqs, nacked", [
+    ([5, 6, 7, 8], 5),  # the oldest entry: all of it again
+    ([5, 6, 7, 8], 8),  # the newest: itself only
+    ([2**32 - 2, 2**32 - 1, 0, 1], 2**32 - 1),  # from before the wrap, across it
+    ([2**32 - 2, 2**32 - 1, 0, 1], 1),  # the newest, past the wrap
+])
+def test_nack_resends_from_the_nacked_entry_on(seqs, nacked):
+    rep = reporter_with_backlog(seqs)
+    resends = [decode(o) for o in rep.handle_nack(NackPacket(0, nacked))]
+    assert [p.essential_seq for p in resends] == seqs[seqs.index(nacked):]
+    assert rep.retransmissions == len(resends)
+
+
+@pytest.mark.parametrize("nacked", [9, 10, 2**31 + 5])  # next, ahead, half the space ahead
+def test_nack_ahead_of_the_backlog_resends_nothing(nacked):
+    rep = reporter_with_backlog([5, 6, 7, 8])
+    assert rep.handle_nack(NackPacket(0, nacked)) == []
+    assert rep.retransmissions == 0
 
 
 def test_nack_for_evicted_seq_before_the_wrap_resets_to_oldest_survivor():

@@ -169,7 +169,8 @@ def test_snapshot_dump_roundtrip(tmp_path):
     region, qp = fresh(16)
     apply_verb(region, qp, 0, Write(3, b"\xde\xad"))
     path = tmp_path / "region.bin"
-    region.dump(path)
+    with open(path, "wb") as fh:
+        region.dump(fh)
     assert path.read_bytes() == region.snapshot()
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -39,13 +41,13 @@ def test_zero_loss_kw_run_applies_everything_and_answers_queries():
         assert res.value == body.value
 
 
-def test_same_seed_same_everything(tmp_path):
+def test_same_seed_same_everything():
     topo = Topology(reporters=3, link=LinkConfig(0.02, 0.02))
     wl = Workload(kind=WorkloadKind.KW_FLOWS, reports=500, reports_per_step=32)
-    a = sim.run(topo, wl, seed=11, dump_path=tmp_path / "a.bin")
-    b = sim.run(topo, wl, seed=11, dump_path=tmp_path / "b.bin")
+    first, second = Simulation(topo, wl, seed=11), Simulation(topo, wl, seed=11)
+    a, b = first.run(), second.run()
     assert a.to_dict() == b.to_dict()
-    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    assert first.translator.region.snapshot() == second.translator.region.snapshot()
     c = sim.run(topo, wl, seed=12)
     assert c.memory_sha256 != a.memory_sha256
 
@@ -68,9 +70,38 @@ def test_conservation_of_reports():
     report = s.run()
     assert report.drained
     # every offered essential report ends applied-once or counted unrecoverable
-    applied = len(s.translator.applied_essential)
-    assert applied + report.unrecoverable == report.reports_offered
-    assert all(c == 1 for c in s.translator.applied_essential.values())
+    seqs = s.translator.applied_seqs
+    assert sum(len(applied) for applied in seqs.values()) + report.unrecoverable \
+        == report.reports_offered
+    assert all(len(set(applied)) == len(applied) for applied in seqs.values())
+    assert report.unrecoverable > 0  # the audit covers the lost reports too
+
+
+def test_applying_a_report_twice_breaks_the_audit():
+    topo = Topology(reporters=1)
+    wl = Workload(kind=WorkloadKind.KI_COUNTERS, reports=50)
+    s = Simulation(topo, wl, seed=2)
+    assert s.run().exactly_once_ok
+    again = wire.decode(s.reporters[0].backlog[7])
+    s.translator.apply(again)
+    assert not s._exactly_once()
+    s.translator.applied_seqs[0].remove(9)  # the count balances again; the duplicate stays
+    assert not s._exactly_once()
+
+
+def test_a_finished_run_is_freed_without_the_cyclic_collector():
+    """Nothing a Simulation holds points back at it, so ``del`` frees it at once."""
+    gc.disable()
+    try:
+        s = Simulation(Topology(reporters=2, link=LinkConfig(0.05, 0.05)),
+                       Workload(kind=WorkloadKind.APPEND_EVENTS, reports=400,
+                                reports_per_step=50), seed=3)
+        s.run()
+        translator = weakref.ref(s.translator)
+        del s
+        assert translator() is None
+    finally:
+        gc.enable()
 
 
 def test_non_essential_loss_never_nacks():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dta.wire import (
     ENVELOPE_LEN,
+    FLAG_ESSENTIAL,
     REDUCE_RATE,
     AppendBody,
     CongestionSignal,
@@ -198,8 +199,8 @@ def test_mtu_budget_enforced():
 
 def test_flag_helpers():
     packet = DtaPacket(AppendBody(0, b"x"), 0, 0, flags=make_flags(essential=True))
-    assert packet.essential
-    assert not DtaPacket(AppendBody(0, b"x"), 0, 0, flags=make_flags()).essential
+    assert packet.flags & FLAG_ESSENTIAL
+    assert not DtaPacket(AppendBody(0, b"x"), 0, 0, flags=make_flags()).flags & FLAG_ESSENTIAL
 
 
 def test_encode_validates_field_ranges():
