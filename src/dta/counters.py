@@ -16,19 +16,16 @@ columns ship to collector memory contiguously in batches.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .hashing import MAX_REDUNDANCY, Domain, HashFamily
-from .memstore import FetchAdd, MemoryRegion, Write
+from .memstore import U64_MOD, U64LE, FetchAdd, MemoryRegion, Write
 
-COUNTER_LEN = 8
-_U64LE = struct.Struct("<Q")
+COUNTER_LEN = U64LE.size
 # Key-Increment hashes its slots with the Key-Write slot member; a plain int
 # because an enum member costs a lookup per call
 _KI_SLOT = int(Domain.KW_SLOT)
-_U64_MOD = 1 << 64
 
 
 @dataclass
@@ -58,9 +55,13 @@ def ki_increment(store: KiStore, key: bytes, delta: int, n_redundancy: int) -> l
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
-    family, base, buflen = store.family, store.base, store.buflen
-    return [FetchAdd(base + family.raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN, delta)
-            for n in range(n_redundancy)]
+    # raw64 is read once per call, so a wrapper installed on HashFamily.raw64
+    # still sees every hash; a loop, not a comprehension, saves a frame per report
+    raw64, base, buflen = store.family.raw64, store.base, store.buflen
+    verbs = []
+    for n in range(n_redundancy):
+        verbs.append(FetchAdd(base + raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN, delta))
+    return verbs
 
 
 def ki_query(store: KiStore, key: bytes, n_redundancy: int) -> int:
@@ -72,7 +73,7 @@ def ki_query(store: KiStore, key: bytes, n_redundancy: int) -> int:
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     family, base, buflen, buf = store.family, store.base, store.buflen, store.region._buf
-    read = _U64LE.unpack_from
+    read = U64LE.unpack_from
     return min(read(buf, base + family.raw64(_KI_SLOT, n, key) % buflen * COUNTER_LEN)[0]
                for n in range(n_redundancy))
 
@@ -133,7 +134,7 @@ def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
     column = state.columns[col_index]
     if state.spec.merge_op is MergeOp.SUM:
         for r, v in enumerate(col_values):
-            column[r] = (column[r] + v) % _U64_MOD
+            column[r] = (column[r] + v) % U64_MOD
     else:
         for r, v in enumerate(col_values):
             if v > column[r]:

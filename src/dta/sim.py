@@ -33,7 +33,7 @@ from typing import Optional
 from . import append as append_mod
 from . import counters, flowctl, keywrite, postcarding, wire
 from .hashing import MAX_REDUNDANCY, MAX_VALUE_BITS, HashFamily, value_codec
-from .memstore import PSN_MOD, MemoryRegion, QueuePair, apply_verb, reset_qp
+from .memstore import MAX_REGION_SIZE, PSN_MOD, MemoryRegion, QueuePair, apply_verb, reset_qp
 
 
 class ConfigError(ValueError):
@@ -211,7 +211,11 @@ class RunReport:
 
 
 def _region_layout(t: Topology) -> dict[str, int]:
-    """Non-overlapping per-primitive sub-regions, in declaration order."""
+    """Non-overlapping per-primitive sub-regions, in declaration order.
+
+    A layout past ``MAX_REGION_SIZE`` is refused before anything is allocated,
+    naming the section that crosses it.
+    """
     kw_slot = (t.kw.checksum_bits + 7) // 8 + t.kw.value_len
     pc_stride = postcarding._next_pow2((t.pc.cell_bits + 7) // 8 * t.pc.hops)
     sizes = {
@@ -226,6 +230,9 @@ def _region_layout(t: Topology) -> dict[str, int]:
         base = (base + 7) // 8 * 8  # keep counters aligned
         layout[name] = base
         base += max(size, 0)  # a negative size is the store's to refuse, by its section
+        if base > MAX_REGION_SIZE:
+            raise ConfigError(f"topology.{name}", f"the region would reach {base} octets, "
+                              f"above the ceiling of {MAX_REGION_SIZE}")
     layout["total"] = base
     return layout
 
@@ -254,19 +261,36 @@ class Collector:
         # apply_verb is looked up as this module's global on every call, so
         # a wrapper installed on dta.sim.apply_verb sees every verb
         region, qp = self.region, self.qp
-        for verb in verbs:
-            psn = self.next_psn
-            self.next_psn = (psn + 1) % PSN_MOD
-            if self.fault_drop and self.fault_rng.random() < self.fault_drop:
-                self.verbs_faulted += 1  # verb packet lost before the NIC
-                continue
-            if not apply_verb(region, qp, psn, verb):
-                # models the controller re-establishing the connection, then
-                # the RDMA layer retrying the rejected packet
-                self.qp_desyncs += 1
-                reset_qp(qp, psn)
-                apply_verb(region, qp, psn, verb)
-            self.verbs_applied += 1
+        if self.fault_drop:
+            for verb in verbs:
+                psn = self.next_psn
+                self.next_psn = (psn + 1) % PSN_MOD
+                if self.fault_rng.random() < self.fault_drop:
+                    self.verbs_faulted += 1  # verb packet lost before the NIC
+                    continue
+                if not apply_verb(region, qp, psn, verb):
+                    # models the controller re-establishing the connection, then
+                    # the RDMA layer retrying the rejected packet
+                    self.qp_desyncs += 1
+                    reset_qp(qp, psn)
+                    apply_verb(region, qp, psn, verb)
+                self.verbs_applied += 1
+            return
+        # the same loop without faults, its counters kept in locals; a verb
+        # that raises has used up its PSN but is not counted as applied
+        next_psn, applied = self.next_psn, 0
+        try:
+            for verb in verbs:
+                psn = next_psn
+                next_psn = (psn + 1) % PSN_MOD
+                if not apply_verb(region, qp, psn, verb):
+                    self.qp_desyncs += 1
+                    reset_qp(qp, psn)
+                    apply_verb(region, qp, psn, verb)
+                applied += 1
+        finally:
+            self.next_psn = next_psn
+            self.verbs_applied += applied
 
 
 @contextmanager
@@ -330,13 +354,15 @@ class Translator:
         if type(packet) is wire.SeqResetPacket:
             self.flow.handle_seq_reset(packet)
             return
-        cost = _ROUTES[type(packet.body)][0](self, packet.body)
+        charge, translate = _ROUTES[type(packet.body)]
+        cost = charge(self, packet.body)
         if cost is None:
             self.flow.receive(packet, 0)  # a keepalive: a probe for gaps, never applied
         elif self.flow.receive(packet, cost):
-            self.apply(packet)
+            self.apply(packet, translate)
 
-    def apply(self, packet: wire.DtaPacket) -> None:
+    def apply(self, packet: wire.DtaPacket, translate) -> None:
+        """Apply one in-order report through ``translate``, its body type's route."""
         if packet.flags & wire.FLAG_ESSENTIAL:
             self.applied_seqs[packet.reporter_id].append(packet.essential_seq)
         # a store refuses a report by raising ValueError before it changes any
@@ -344,7 +370,7 @@ class Translator:
         # it did arrive in order and a NACK would only bring back octets the
         # store refuses again
         try:
-            verbs = _ROUTES[type(packet.body)][1](self, packet, packet.body)
+            verbs = translate(self, packet, packet.body)
         except ValueError:
             self.report.reports_refused += 1
             return
@@ -472,7 +498,7 @@ class Simulation:
             flow.meter.step()
             flow.begin_step()
             for packet in flow.drain_deferred():
-                self.translator.apply(packet)
+                self.translator.apply(packet, _ROUTES[type(packet.body)][1])
 
             arrivals: list[bytes] = []
             for rep in self.reporters:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dta import sim
 from dta.cli import main
 from dta.experiments import read_csv
+from dta.memstore import MAX_REGION_SIZE
 
 
 def run_cli(*argv):
@@ -329,6 +330,10 @@ def test_unwritable_run_output_is_refused_before_the_run(tmp_path, capsys, monke
     ({"topology": {"kw": {"checksum_bits": -1000}}},
      "topology.kw: checksum_bits must be in [1, 64], got -1000"),
     ({"topology": {"append": {"lists": 0}}}, "topology.append: lists must be >= 1, got 0"),
+    ({"topology": {"kw": {"buflen": 1 << 28}}},
+     "topology.kw: the region would reach 2147483648 octets, above the ceiling of 1073741824"),
+    ({"topology": {"ki": {"buflen": 1 << 27}}},
+     "topology.ki: the region would reach 1074593792 octets, above the ceiling of 1073741824"),
     ({"topology": {"translator": {"meter_burst": float("nan")}}},
      "topology.translator: need rate >= 0 and burst > 0, got inf/nan"),
     ({"workload": {"kind": "ki-counters", "max_delta": -1}},
@@ -341,7 +346,8 @@ def test_unwritable_run_output_is_refused_before_the_run(tmp_path, capsys, monke
     ({"topolgy": {"reporters": 4}}, "topolgy: unknown field"),
 ], ids=["kw-buflen-str", "kw-buflen-float", "pc-hops-float", "reporters-str",
         "kw-redundancy-bool", "loss-null", "merge-op-int", "backlog-capacity-0",
-        "kw-buflen-negative", "kw-checksum-bits-negative", "append-lists-0", "meter-burst-nan",
+        "kw-buflen-negative", "kw-checksum-bits-negative", "append-lists-0",
+        "kw-region-past-ceiling", "ki-region-past-ceiling", "meter-burst-nan",
         "max-delta-negative", "path-len-float", "essential-str", "workload-int",
         "misspelt-section"])
 def test_bad_config_is_one_error_line_naming_its_path(tmp_path, capsys, config, message):
@@ -426,10 +432,20 @@ _BASES = [{"topology": _SMALL_TOPOLOGY, "workload": {"kind": kind, "reports": 6}
 _POOL = st.sampled_from([None, True, False, "x", [], {}, 2.5, math.nan, math.inf, -math.inf])
 
 
+# the leaves that size the collector region: each of these past MAX_REGION_SIZE on its own
+# takes the region past it, which is refused before anything is allocated
+_REGION_LEAVES = {"topology.kw.buflen", "topology.kw.value_len", "topology.pc.chunks",
+                  "topology.pc.hops", "topology.append.lists", "topology.append.capacity",
+                  "topology.append.entry_len", "topology.ki.buflen", "topology.sketch.rows",
+                  "topology.sketch.cols"}
+
+
 def _values(target):
     """The bounded pool; ``pc.value_bits`` skips the ints whose codec takes long to build."""
     if target == "topology.pc.value_bits":
         return _POOL | st.integers(-3, 12) | st.integers(25, 40)
+    if target in _REGION_LEAVES:
+        return _POOL | st.integers(-3, 40) | st.integers(MAX_REGION_SIZE + 1, 1 << 64)
     return _POOL | st.integers(-3, 40)
 
 

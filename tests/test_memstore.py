@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dta.memstore import (
+    MAX_REGION_SIZE,
     PSN_MOD,
     FetchAdd,
     MemoryRegion,
@@ -121,6 +122,12 @@ def test_gap_applies_prefix_only(payloads, data):
     assert applied == gap_at
 
 
+@pytest.mark.parametrize("size", [-1, MAX_REGION_SIZE + 1, 1 << 64])
+def test_a_region_outside_the_ceiling_is_refused_unallocated(size):
+    with pytest.raises(ValueError, match=r"size must be in \[0, 1073741824\]"):
+        MemoryRegion(size)
+
+
 @given(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=30))
 def test_fetch_add_linearizable(addends):
     region = MemoryRegion(8)
@@ -212,3 +219,21 @@ def test_apply_verb_matches_the_reference(steps):
         (_, region, qp), (_, ref_region, ref_qp) = sides
         assert region.snapshot() == ref_region.snapshot()
         assert (qp.state, qp.expected_psn) == (ref_qp.state, ref_qp.expected_psn)
+
+
+_counter_adds = st.lists(st.builds(FetchAdd, st.sampled_from(range(0, REGION - 7, 8)),
+                                   st.integers(0, _U64_MOD - 1)), max_size=12)
+
+
+@given(st.binary(min_size=REGION, max_size=REGION), _counter_adds)
+@example(b"\xff" * REGION, [FetchAdd(8, 2)])
+def test_fetch_add_wraps_as_the_reference_from_any_counter(octets, verbs):
+    """Counters seeded with random octets take 64-bit addends: their sums wrap past 2**64."""
+    sides = []
+    for apply in (apply_verb, reference_apply_verb):
+        region, qp = MemoryRegion(REGION), QueuePair()
+        region._buf[:] = octets
+        for psn, verb in enumerate(verbs):
+            assert apply(region, qp, psn, verb)
+        sides.append(region.snapshot())
+    assert sides[0] == sides[1]

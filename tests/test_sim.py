@@ -4,11 +4,20 @@ import weakref
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dta import sim, wire
-from dta.memstore import PSN_MOD, FetchAdd, MemoryRegion, Outcome, reset_qp
+from dta.memstore import (
+    PSN_MOD,
+    FetchAdd,
+    MemoryRegion,
+    OutOfBoundsError,
+    Outcome,
+    Write,
+    apply_verb,
+    reset_qp,
+)
 from dta.keywrite import kw_query
 from dta.postcarding import pc_query
 from dta.sim import (
@@ -83,7 +92,7 @@ def test_applying_a_report_twice_breaks_the_audit():
     s = Simulation(topo, wl, seed=2)
     assert s.run().exactly_once_ok
     again = wire.decode(s.reporters[0].backlog[7])
-    s.translator.apply(again)
+    s.translator.apply(again, sim._ROUTES[wire.KeyIncrementBody][1])
     assert not s._exactly_once()
     s.translator.applied_seqs[0].remove(9)  # the count balances again; the duplicate stays
     assert not s._exactly_once()
@@ -160,6 +169,50 @@ def test_collector_resyncs_after_a_lost_verb():
     assert 0 < collector.qp_desyncs <= collector.verbs_faulted
     # every verb that was not lost reached memory, the retried ones included
     assert int.from_bytes(collector.region.read(0, 8), "little") == collector.verbs_applied
+
+
+def reference_collector_apply(collector, verbs):
+    """Collector.apply without faults, as the per-verb loop that updates its counters each verb."""
+    region, qp = collector.region, collector.qp
+    for verb in verbs:
+        psn = collector.next_psn
+        collector.next_psn = (psn + 1) % PSN_MOD
+        if not apply_verb(region, qp, psn, verb):
+            collector.qp_desyncs += 1
+            reset_qp(qp, psn)
+            apply_verb(region, qp, psn, verb)
+        collector.verbs_applied += 1
+
+
+_COLLECTOR_REGION = 32
+_collector_verbs = st.lists(st.one_of(
+    # 4 is misaligned and 32 out of bounds: both raise OutOfBoundsError
+    st.builds(FetchAdd, st.sampled_from([0, 8, 24, 4, 32]), st.integers(0, (1 << 64) - 1)),
+    st.builds(Write, st.integers(-1, _COLLECTOR_REGION), st.binary(max_size=3)),
+), max_size=8)
+
+
+@given(st.integers(1, 5), st.sampled_from([0, 0, 1]), _collector_verbs)
+@example(2, 0, [FetchAdd(0, 1), FetchAdd(_COLLECTOR_REGION, 1), FetchAdd(8, 1)])
+def test_fault_free_collector_apply_matches_the_per_verb_loop(before_wrap, offset, verbs):
+    """Memory, PSNs across the 2**24 wrap and counters, also when a verb raises mid-list.
+
+    ``offset`` starts the queue pair off the collector's PSN, so the first verb desyncs it.
+    """
+    sides = []
+    for apply in (Collector.apply, reference_collector_apply):
+        collector = Collector(MemoryRegion(_COLLECTOR_REGION))
+        collector.next_psn = PSN_MOD - before_wrap
+        reset_qp(collector.qp, collector.next_psn + offset)
+        try:
+            apply(collector, verbs)
+            raised = None
+        except (OutOfBoundsError, ValueError) as exc:
+            raised = type(exc), str(exc)
+        sides.append((raised, collector.region.snapshot(), collector.next_psn,
+                      collector.verbs_applied, collector.qp_desyncs,
+                      collector.qp.state, collector.qp.expected_psn))
+    assert sides[0] == sides[1]
 
 
 def test_postcard_run_aggregates_paths():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dta import hashing, keywrite, memstore, postcarding, sim, wire
+from dta import counters, hashing, keywrite, memstore, postcarding, sim, wire
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,8 +61,8 @@ ENUMS = {"Kind", "QpState", "Outcome", "QueryPolicy", "EmissionReason", "Domain"
 
 
 @pytest.mark.parametrize("fn", [
-    wire.encode, wire.decode, memstore.apply_verb, sim.Translator.receive,
-    sim.Translator.apply, keywrite.kw_query, hashing.HashFamily.key_checksum,
+    wire.encode, wire.decode, memstore.apply_verb, sim.Collector.apply, sim.Translator.receive,
+    sim.Translator.apply, counters.ki_increment, keywrite.kw_query, hashing.HashFamily.key_checksum,
     hashing.HashFamily.cache_slot, postcarding.pc_ingest, postcarding.pc_query,
 ], ids=lambda fn: fn.__qualname__)
 def test_per_report_paths_read_no_enum_member(fn):
