@@ -259,14 +259,18 @@ class Collector:
 
     def apply(self, verbs) -> None:
         # apply_verb is looked up as this module's global on every call, so
-        # a wrapper installed on dta.sim.apply_verb sees every verb
+        # a wrapper installed on dta.sim.apply_verb sees every verb.  The
+        # counters are kept in locals and written back once, also when a verb
+        # raises: it has used up its PSN but is not counted as applied
         region, qp = self.region, self.qp
-        if self.fault_drop:
+        fault_drop, fault_rng = self.fault_drop, self.fault_rng
+        next_psn, applied, faulted = self.next_psn, 0, 0
+        try:
             for verb in verbs:
-                psn = self.next_psn
-                self.next_psn = (psn + 1) % PSN_MOD
-                if self.fault_rng.random() < self.fault_drop:
-                    self.verbs_faulted += 1  # verb packet lost before the NIC
+                psn = next_psn
+                next_psn = (psn + 1) % PSN_MOD
+                if fault_drop and fault_rng.random() < fault_drop:
+                    faulted += 1  # verb packet lost before the NIC
                     continue
                 if not apply_verb(region, qp, psn, verb):
                     # models the controller re-establishing the connection, then
@@ -274,23 +278,11 @@ class Collector:
                     self.qp_desyncs += 1
                     reset_qp(qp, psn)
                     apply_verb(region, qp, psn, verb)
-                self.verbs_applied += 1
-            return
-        # the same loop without faults, its counters kept in locals; a verb
-        # that raises has used up its PSN but is not counted as applied
-        next_psn, applied = self.next_psn, 0
-        try:
-            for verb in verbs:
-                psn = next_psn
-                next_psn = (psn + 1) % PSN_MOD
-                if not apply_verb(region, qp, psn, verb):
-                    self.qp_desyncs += 1
-                    reset_qp(qp, psn)
-                    apply_verb(region, qp, psn, verb)
                 applied += 1
         finally:
             self.next_psn = next_psn
             self.verbs_applied += applied
+            self.verbs_faulted += faulted
 
 
 @contextmanager
@@ -354,15 +346,18 @@ class Translator:
         if type(packet) is wire.SeqResetPacket:
             self.flow.handle_seq_reset(packet)
             return
-        charge, translate = _ROUTES[type(packet.body)]
+        charge, translate = _ROUTES[type(packet.body)]  # one lookup per report
         cost = charge(self, packet.body)
         if cost is None:
             self.flow.receive(packet, 0)  # a keepalive: a probe for gaps, never applied
         elif self.flow.receive(packet, cost):
-            self.apply(packet, translate)
+            self._apply(packet, translate)
 
-    def apply(self, packet: wire.DtaPacket, translate) -> None:
-        """Apply one in-order report through ``translate``, its body type's route."""
+    def apply(self, packet: wire.DtaPacket) -> None:
+        """Apply one in-order report by its body type's route."""
+        self._apply(packet, _ROUTES[type(packet.body)][1])
+
+    def _apply(self, packet: wire.DtaPacket, translate) -> None:
         if packet.flags & wire.FLAG_ESSENTIAL:
             self.applied_seqs[packet.reporter_id].append(packet.essential_seq)
         # a store refuses a report by raising ValueError before it changes any
@@ -498,7 +493,7 @@ class Simulation:
             flow.meter.step()
             flow.begin_step()
             for packet in flow.drain_deferred():
-                self.translator.apply(packet, _ROUTES[type(packet.body)][1])
+                self.translator.apply(packet)
 
             arrivals: list[bytes] = []
             for rep in self.reporters:

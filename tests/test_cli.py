@@ -433,9 +433,11 @@ _POOL = st.sampled_from([None, True, False, "x", [], {}, 2.5, math.nan, math.inf
 
 
 # the leaves that size the collector region: each of these past MAX_REGION_SIZE on its own
-# takes the region past it, which is refused before anything is allocated
-_REGION_LEAVES = {"topology.kw.buflen", "topology.kw.value_len", "topology.pc.chunks",
-                  "topology.pc.hops", "topology.append.lists", "topology.append.capacity",
+# takes the region past it, which is refused before anything is allocated; pc.cell_bits is
+# refused first by its own range check, [1, 64]
+_REGION_LEAVES = {"topology.kw.buflen", "topology.kw.checksum_bits", "topology.kw.value_len",
+                  "topology.pc.chunks", "topology.pc.hops", "topology.pc.cell_bits",
+                  "topology.append.lists", "topology.append.capacity",
                   "topology.append.entry_len", "topology.ki.buflen", "topology.sketch.rows",
                   "topology.sketch.cols"}
 

@@ -92,7 +92,7 @@ def test_applying_a_report_twice_breaks_the_audit():
     s = Simulation(topo, wl, seed=2)
     assert s.run().exactly_once_ok
     again = wire.decode(s.reporters[0].backlog[7])
-    s.translator.apply(again, sim._ROUTES[wire.KeyIncrementBody][1])
+    s.translator.apply(again)
     assert not s._exactly_once()
     s.translator.applied_seqs[0].remove(9)  # the count balances again; the duplicate stays
     assert not s._exactly_once()
@@ -172,11 +172,14 @@ def test_collector_resyncs_after_a_lost_verb():
 
 
 def reference_collector_apply(collector, verbs):
-    """Collector.apply without faults, as the per-verb loop that updates its counters each verb."""
+    """Collector.apply as the per-verb loop that updates its counters each verb."""
     region, qp = collector.region, collector.qp
     for verb in verbs:
         psn = collector.next_psn
         collector.next_psn = (psn + 1) % PSN_MOD
+        if collector.fault_drop and collector.fault_rng.random() < collector.fault_drop:
+            collector.verbs_faulted += 1
+            continue
         if not apply_verb(region, qp, psn, verb):
             collector.qp_desyncs += 1
             reset_qp(qp, psn)
@@ -192,16 +195,18 @@ _collector_verbs = st.lists(st.one_of(
 ), max_size=8)
 
 
-@given(st.integers(1, 5), st.sampled_from([0, 0, 1]), _collector_verbs)
-@example(2, 0, [FetchAdd(0, 1), FetchAdd(_COLLECTOR_REGION, 1), FetchAdd(8, 1)])
-def test_fault_free_collector_apply_matches_the_per_verb_loop(before_wrap, offset, verbs):
-    """Memory, PSNs across the 2**24 wrap and counters, also when a verb raises mid-list.
+@given(st.integers(1, 5), st.sampled_from([0, 0, 1]), st.sampled_from([0.0, 0.0, 0.5]),
+       _collector_verbs)
+@example(2, 0, 0.0, [FetchAdd(0, 1), FetchAdd(_COLLECTOR_REGION, 1), FetchAdd(8, 1)])
+@example(2, 0, 0.5, [FetchAdd(0, 1), FetchAdd(8, 1), FetchAdd(_COLLECTOR_REGION, 1)])
+def test_collector_apply_matches_the_per_verb_loop(before_wrap, offset, fault_drop, verbs):
+    """Memory, PSNs across the 2**24 wrap, counters and fault draws, also when a verb raises.
 
     ``offset`` starts the queue pair off the collector's PSN, so the first verb desyncs it.
     """
     sides = []
     for apply in (Collector.apply, reference_collector_apply):
-        collector = Collector(MemoryRegion(_COLLECTOR_REGION))
+        collector = Collector(MemoryRegion(_COLLECTOR_REGION), fault_drop, random.Random(7))
         collector.next_psn = PSN_MOD - before_wrap
         reset_qp(collector.qp, collector.next_psn + offset)
         try:
@@ -210,8 +215,9 @@ def test_fault_free_collector_apply_matches_the_per_verb_loop(before_wrap, offse
         except (OutOfBoundsError, ValueError) as exc:
             raised = type(exc), str(exc)
         sides.append((raised, collector.region.snapshot(), collector.next_psn,
-                      collector.verbs_applied, collector.qp_desyncs,
-                      collector.qp.state, collector.qp.expected_psn))
+                      collector.verbs_applied, collector.verbs_faulted, collector.qp_desyncs,
+                      collector.qp.state, collector.qp.expected_psn,
+                      collector.fault_rng.getstate()))
     assert sides[0] == sides[1]
 
 

@@ -62,8 +62,9 @@ ENUMS = {"Kind", "QpState", "Outcome", "QueryPolicy", "EmissionReason", "Domain"
 
 @pytest.mark.parametrize("fn", [
     wire.encode, wire.decode, memstore.apply_verb, sim.Collector.apply, sim.Translator.receive,
-    sim.Translator.apply, counters.ki_increment, keywrite.kw_query, hashing.HashFamily.key_checksum,
-    hashing.HashFamily.cache_slot, postcarding.pc_ingest, postcarding.pc_query,
+    sim.Translator.apply, sim.Translator._apply, counters.ki_increment, keywrite.kw_query,
+    hashing.HashFamily.key_checksum, hashing.HashFamily.cache_slot, postcarding.pc_ingest,
+    postcarding.pc_query,
 ], ids=lambda fn: fn.__qualname__)
 def test_per_report_paths_read_no_enum_member(fn):
     """On Python 3.11 reading an enum member costs about 100 ns; these read module constants."""
