@@ -16,6 +16,8 @@ columns ship to collector memory contiguously in batches.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,19 +86,6 @@ class MergeOp(Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
-class SketchSpec:
-    """Shape of the per-switch sketches being merged."""
-
-    rows: int
-    cols: int
-    merge_op: MergeOp = MergeOp.SUM
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
-
-
 class ColumnOutOfOrder(ValueError):
     """A reporter's column is not the next one it owes; resend from ``expected_index``."""
 
@@ -106,40 +95,51 @@ class ColumnOutOfOrder(ValueError):
 
 
 class SketchMergeState:
-    """Translator-held network-wide sketch under construction and its merge progress."""
+    """Translator-held network-wide sketch under construction and its merge progress.
 
-    def __init__(self, spec: SketchSpec, reporters: int):
+    Every setting is fixed here: the sketch's shape and merge operator, the
+    reporters that merge into it, and the batch of ``w_batch`` columns written
+    to memory at ``base``.  ``sketch`` holds the rows x cols counters flat, in
+    the order memory holds them: column c, row r at ``c * rows + r``.
+    """
+
+    def __init__(self, rows: int, cols: int, merge_op: MergeOp | str, reporters: int,
+                 w_batch: int, base: int = 0):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
         if reporters < 1:
             raise ValueError(f"reporters must be >= 1, got {reporters}")
-        self.spec = spec
-        self.reporters = reporters
+        if w_batch < 1:
+            raise ValueError(f"w_batch must be >= 1, got {w_batch}")
+        self.rows, self.cols, self.merge_op = rows, cols, MergeOp(merge_op)
+        self.reporters, self.w_batch, self.base = reporters, w_batch, base
         self.last_in_order: dict[int, int] = {}  # reporter -> last merged column
-        self.merged_count = [0] * spec.cols
+        self.merged_count = [0] * cols
         self.complete_cols = 0  # columns [0, complete_cols) are merged by every reporter
-        # columns[c][r]: merged value of row r in column c
-        self.columns = [[0] * spec.rows for _ in range(spec.cols)]
+        self.sketch = [0] * (rows * cols)
         self.flushed_cols = 0
 
 
 def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
-                     col_values: list[int]) -> None:
+                     col_values: Sequence[int]) -> None:
     """Merge one reporter's column if it is its next in order; else raise, changing nothing."""
-    if len(col_values) != state.spec.rows:
-        raise ValueError(f"expected {state.spec.rows} rows, got {len(col_values)}")
+    rows = state.rows
+    if len(col_values) != rows:
+        raise ValueError(f"expected {rows} rows, got {len(col_values)}")
     expected = state.last_in_order.get(reporter, -1) + 1
     if col_index != expected:
         raise ColumnOutOfOrder(expected, col_index)
-    if col_index >= state.spec.cols:
-        raise ValueError(f"column {col_index} outside sketch of {state.spec.cols} columns")
+    if col_index >= state.cols:
+        raise ValueError(f"column {col_index} outside sketch of {state.cols} columns")
 
-    column = state.columns[col_index]
-    if state.spec.merge_op is MergeOp.SUM:
-        for r, v in enumerate(col_values):
-            column[r] = (column[r] + v) % U64_MOD
+    sketch = state.sketch
+    if state.merge_op is MergeOp.SUM:
+        for i, v in enumerate(col_values, col_index * rows):
+            sketch[i] = (sketch[i] + v) % U64_MOD
     else:
-        for r, v in enumerate(col_values):
-            if v > column[r]:
-                column[r] = v
+        for i, v in enumerate(col_values, col_index * rows):
+            if v > sketch[i]:
+                sketch[i] = v
     state.last_in_order[reporter] = col_index
     state.merged_count[col_index] += 1
     if state.merged_count[col_index] == state.reporters:
@@ -147,30 +147,22 @@ def sm_ingest_column(state: SketchMergeState, reporter: int, col_index: int,
         state.complete_cols = col_index + 1
 
 
-def sm_flush_completed(state: SketchMergeState, store_base: int,
-                       w_batch: int) -> list[Write]:
+def sm_flush_completed(state: SketchMergeState) -> list[Write]:
     """Ship newly completed columns to memory in contiguous w_batch groups.
 
     Columns complete in index order (each reporter reports in order), so the
     flushed prefix only ever grows.  The final group may be smaller than
-    w_batch once the whole sketch is complete.  Layout: column-contiguous,
-    each column its rows in order, little-endian 64-bit counters.
+    w_batch once the whole sketch is complete.  Each group is one slice of
+    the flat sketch, packed as little-endian 64-bit counters.
     """
-    if w_batch < 1:
-        raise ValueError(f"w_batch must be >= 1, got {w_batch}")
-    ready = state.complete_cols
-    col_len = state.spec.rows * COUNTER_LEN
+    ready, rows, w_batch = state.complete_cols, state.rows, state.w_batch
     verbs = []
     while state.flushed_cols < ready:
         n = min(w_batch, ready - state.flushed_cols)
-        if n < w_batch and ready < state.spec.cols:
+        if n < w_batch and ready < state.cols:
             break  # wait for a full batch unless the sketch is finished
-        start = state.flushed_cols
-        payload = b"".join(
-            v.to_bytes(COUNTER_LEN, "little")
-            for c in range(start, start + n)
-            for v in state.columns[c]
-        )
-        verbs.append(Write(store_base + start * col_len, payload))
+        start, count = state.flushed_cols * rows, n * rows
+        verbs.append(Write(state.base + start * COUNTER_LEN,
+                           struct.pack(f"<{count}Q", *state.sketch[start:start + count])))
         state.flushed_cols += n
     return verbs

@@ -210,12 +210,12 @@ def _kw_writer(store: KwStore, redundancy: int, seed: int) -> Callable[[int], No
     return write
 
 
-def _kw_probes(store: KwStore, redundancy: int, seed: int, threshold: int,
+def _kw_probes(store: KwStore, redundancy: int, seed: int,
                policy: QueryPolicy) -> tuple[Callable, Callable]:
     """``query`` and ``expected`` of ``tally`` for the key at a stream position."""
 
     def query(i: int) -> QueryResult:
-        return kw_query(store, stream_key(seed, i), redundancy, threshold, policy)
+        return kw_query(store, stream_key(seed, i), redundancy, policy=policy)
 
     def expected(i: int) -> bytes:
         return stream_value(stream_key(seed, i), store.value_len)
@@ -232,12 +232,11 @@ def kw_monte_carlo(
     queries: int,
     seed: int,
     policy: QueryPolicy = QueryPolicy.SINGLE_VALUE,
-    threshold: int = 1,
 ) -> McStats:
     """Empirical query outcomes at exact write-distance alpha*buflen."""
     store = _kw_store(buflen, checksum_bits, value_len, seed)
     return exact_age(_kw_writer(store, redundancy, seed),
-                     *_kw_probes(store, redundancy, seed, threshold, policy),
+                     *_kw_probes(store, redundancy, seed, policy),
                      round(alpha * buflen), queries)
 
 
@@ -266,7 +265,7 @@ def kw_measure_ages(
         raise ValueError("window must be >= 1")
     if ages and max(ages) >= n_keys:
         raise ValueError(f"max age {max(ages)} needs more than {n_keys} keys")
-    query, expected = _kw_probes(store, n_redundancy, seed, 1, QueryPolicy.PLURALITY)
+    query, expected = _kw_probes(store, n_redundancy, seed, QueryPolicy.PLURALITY)
     return [tally(range(n_keys - min(age + window, n_keys), n_keys - age), query, expected)
             for age in ages]
 

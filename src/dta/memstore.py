@@ -14,10 +14,9 @@ verbs are little-endian.
 Verbs, built per report, are plain slotted dataclasses (a frozen field costs
 about 250 ns to set).  The translator posts them one-sided and never reads a
 response: applying a verb tells it only whether the verb was accepted.
-``apply_verb`` reads ``QpState`` members as module constants: each read of an
-enum member costs about 100 ns on Python 3.11.  It applies a ``FetchAdd`` in
-place, as one read-modify-write of the 8-octet counter through the
-precompiled ``U64LE`` struct, the sum masked to 64 bits so it wraps past 2**64.
+``apply_verb`` applies a ``FetchAdd`` in place, as one read-modify-write of
+the 8-octet counter through the precompiled ``U64LE`` struct, the sum masked
+to 64 bits so it wraps past 2**64.
 
 A region holds at most ``MAX_REGION_SIZE`` octets (1 GiB), a bound on the
 memory a collector registers with its NIC; a larger one is refused before
@@ -65,20 +64,12 @@ EMPTY = QueryResult(Outcome.EMPTY)
 AMBIGUOUS = QueryResult(Outcome.AMBIGUOUS)
 
 
-class QpState(Enum):
-    OPEN = "open"
-    DESYNCED = "desynced"
-
-
-_OPEN, _DESYNCED = QpState.OPEN, QpState.DESYNCED  # read per verb: see the module docstring
-
-
 @dataclass
 class QueuePair:
-    """RDMA connection state: next expected PSN and open/desynced flag."""
+    """RDMA connection state: next expected PSN and whether a gap desynced it."""
 
     expected_psn: int = 0
-    state: QpState = QpState.OPEN
+    desynced: bool = False
 
     def __post_init__(self):
         self.expected_psn %= PSN_MOD
@@ -162,10 +153,10 @@ def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> boo
         raise TypeError(f"unknown verb {verb!r}")
     if address < 0 or end > len(buf):
         region._check_span(address, end - address)  # raises, naming the span
-    if qp.state is _DESYNCED:
+    if qp.desynced:
         return False
     if psn % PSN_MOD != qp.expected_psn:
-        qp.state = _DESYNCED
+        qp.desynced = True
         return False
     qp.expected_psn = (qp.expected_psn + 1) % PSN_MOD
 
@@ -178,6 +169,6 @@ def apply_verb(region: MemoryRegion, qp: QueuePair, psn: int, verb: Verb) -> boo
 
 def reset_qp(qp: QueuePair, new_psn: int) -> None:
     """Re-establish the connection: open the queue pair at ``new_psn``."""
-    qp.state = _OPEN
+    qp.desynced = False
     qp.expected_psn = new_psn % PSN_MOD
 

@@ -130,10 +130,10 @@ class _CacheRow:
 
 
 class PostcardCache:
-    """Fixed-size translator cache holding each flow's pending postcards.
+    """Translator cache of ``slots`` rows holding each flow's pending postcards.
 
-    One row per hash bucket; a colliding flow evicts the incumbent, flushing
-    its partial chunk early.
+    One row per hash bucket, held only while occupied; a colliding flow
+    evicts the incumbent, flushing its partial chunk early.
     """
 
     def __init__(self, slots: int, hops: int, family: HashFamily, universe_size: int):
@@ -143,12 +143,12 @@ class PostcardCache:
         self.hops = hops
         self.family = family
         self.universe_size = universe_size
-        self._rows: list[Optional[_CacheRow]] = [None] * slots
+        self._rows: dict[int, _CacheRow] = {}  # occupied rows only, by slot
         self.complete_emissions = 0
         self.early_emissions = 0
 
     def occupancy(self) -> int:
-        return sum(1 for r in self._rows if r is not None)
+        return len(self._rows)
 
     def _emit(self, row: _CacheRow, reason: EmissionReason) -> EmittedChunk:
         if reason is _COMPLETE:
@@ -158,12 +158,9 @@ class PostcardCache:
         return EmittedChunk(row.flow_id, tuple(row.values), reason)
 
     def flush_all(self) -> list[EmittedChunk]:
-        """Drain every pending row (end of an epoch); all count as early."""
-        out = []
-        for i, row in enumerate(self._rows):
-            if row is not None:
-                out.append(self._emit(row, _EVICTED))
-                self._rows[i] = None
+        """Drain every pending row in slot order (end of an epoch); all count as early."""
+        out = [self._emit(self._rows[i], _EVICTED) for i in sorted(self._rows)]
+        self._rows.clear()
         return out
 
 
@@ -184,15 +181,15 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
     if path_len is not None and not 1 <= path_len <= cache.hops:
         raise ValueError(f"path_len must be in [1, {cache.hops}], got {path_len}")
 
-    emitted = []
+    emitted, rows = [], cache._rows
     idx = cache.family.cache_slot(_flow_key(flow_id), cache.slots)
-    row = cache._rows[idx]
+    row = rows.get(idx)
     if row is not None and row.flow_id != flow_id:
         emitted.append(cache._emit(row, _EVICTED))
         row = None
     if row is None:
         row = _CacheRow(flow_id, [None] * cache.hops)
-        cache._rows[idx] = row
+        rows[idx] = row
 
     if row.values[hop] is None:
         row.filled += 1
@@ -203,7 +200,7 @@ def pc_ingest(cache: PostcardCache, flow_id: int, hop: int, value: int,
     target = row.path_len if row.path_len is not None else cache.hops
     if row.filled >= target:
         emitted.append(cache._emit(row, _COMPLETE))
-        cache._rows[idx] = None
+        del rows[idx]
     return emitted
 
 

@@ -333,10 +333,8 @@ class Translator:
                 self.region, t.ki.buflen, family=self.family, base=layout["ki"])
         with _section("sketch"):
             self.sketch_state = counters.SketchMergeState(
-                counters.SketchSpec(t.sketch.rows, t.sketch.cols,
-                                    counters.MergeOp(t.sketch.merge_op)),
-                reporters=t.reporters)
-        self.sketch_base = layout["sketch"]
+                t.sketch.rows, t.sketch.cols, t.sketch.merge_op, t.reporters,
+                t.sketch.w_batch, layout["sketch"])
         # per reporter, the sequence of every essential report applied: the exactly-once audit
         self.applied_seqs: defaultdict[int, array] = defaultdict(lambda: array("I"))
 
@@ -392,10 +390,8 @@ def _postcard(tr: Translator, packet: wire.DtaPacket, body: wire.PostcardBody) -
 
 
 def _sketch_merge(tr: Translator, packet: wire.DtaPacket, body: wire.SketchMergeBody) -> list:
-    counters.sm_ingest_column(tr.sketch_state, packet.reporter_id, body.col_index,
-                              list(body.values))
-    return counters.sm_flush_completed(tr.sketch_state, tr.sketch_base,
-                                       tr.topology.sketch.w_batch)
+    counters.sm_ingest_column(tr.sketch_state, packet.reporter_id, body.col_index, body.values)
+    return counters.sm_flush_completed(tr.sketch_state)
 
 
 _ROUTES = {

@@ -17,7 +17,6 @@ from dta.counters import (
     ColumnOutOfOrder,
     MergeOp,
     SketchMergeState,
-    SketchSpec,
     sm_flush_completed,
     sm_ingest_column,
 )
@@ -209,7 +208,7 @@ def test_sketch_merge_oracle():
     for op in (MergeOp.SUM, MergeOp.MAX):
         sketches = [[[rng.randrange(1 << 24) for _ in range(rows)]
                      for _ in range(cols)] for _ in range(reporters)]
-        state = SketchMergeState(SketchSpec(rows, cols, op), reporters=reporters)
+        state = SketchMergeState(rows, cols, op, reporters=reporters, w_batch=4)
         progress = [0] * reporters
         nacks = 0
         while any(p < cols for p in progress):
@@ -227,9 +226,9 @@ def test_sketch_merge_oracle():
         fn = sum if op is MergeOp.SUM else max
         oracle = [[fn(sketches[r][c][row] for r in range(reporters))
                    for row in range(rows)] for c in range(cols)]
-        assert state.columns == oracle
+        assert state.sketch == [v for column in oracle for v in column]
         assert state.complete_cols == cols
-        assert len(sm_flush_completed(state, 0, 4)) == cols // 4
+        assert len(sm_flush_completed(state)) == cols // 4
 
 
 # ---------------------------------------------------------------------------

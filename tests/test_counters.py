@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -8,14 +9,13 @@ from dta.counters import (
     KiStore,
     MergeOp,
     SketchMergeState,
-    SketchSpec,
     ki_increment,
     ki_query,
     sm_flush_completed,
     sm_ingest_column,
 )
 from dta.hashing import HashFamily
-from dta.memstore import MemoryRegion, QueuePair, apply_verb
+from dta.memstore import MemoryRegion, QueuePair, Write, apply_verb
 
 
 def make_store(buflen=256, seed=4):
@@ -93,40 +93,44 @@ def random_sketch(rng, rows, cols):
     return [[rng.randrange(1 << 16) for _ in range(rows)] for _ in range(cols)]
 
 
+def flat(columns):
+    """A sketch given column by column, in the flat order ``SketchMergeState.sketch`` holds."""
+    return [v for column in columns for v in column]
+
+
 def feed_in_order(state, reporter, sketch):
     for col, values in enumerate(sketch):
         assert sm_ingest_column(state, reporter, col, values) is None
 
 
 def test_single_reporter_all_columns_complete():
-    state = SketchMergeState(SketchSpec(4, 8), reporters=1)
+    state = SketchMergeState(4, 8, MergeOp.SUM, reporters=1, w_batch=1)
     sketch = random_sketch(random.Random(0), 4, 8)
     feed_in_order(state, 0, sketch)
-    assert state.complete_cols == state.spec.cols
-    assert state.columns == sketch
+    assert state.complete_cols == state.cols
+    assert state.sketch == flat(sketch)
 
 
 def test_out_of_order_column_nacked_without_state_change():
-    state = SketchMergeState(SketchSpec(2, 4), reporters=1)
+    state = SketchMergeState(2, 4, MergeOp.SUM, reporters=1, w_batch=1)
     sm_ingest_column(state, 0, 0, [1, 1])
-    before = [list(c) for c in state.columns]
+    before = list(state.sketch)
     with pytest.raises(ColumnOutOfOrder) as refused:
         sm_ingest_column(state, 0, 2, [9, 9])
     assert refused.value.expected_index == 1
-    assert state.columns == before
+    assert state.sketch == before
     assert state.merged_count[2] == 0
 
 
 def test_nacked_column_recovers_to_loss_free_result():
-    spec = SketchSpec(3, 5)
     rng = random.Random(3)
     sketches = [random_sketch(rng, 3, 5) for _ in range(2)]
 
-    clean = SketchMergeState(spec, reporters=2)
+    clean = SketchMergeState(3, 5, MergeOp.SUM, reporters=2, w_batch=1)
     for r, sketch in enumerate(sketches):
         feed_in_order(clean, r, sketch)
 
-    lossy = SketchMergeState(spec, reporters=2)
+    lossy = SketchMergeState(3, 5, MergeOp.SUM, reporters=2, w_batch=1)
     feed_in_order(lossy, 0, sketches[0])
     # reporter 1 skips column 1, gets refused, then resends in order
     assert sm_ingest_column(lossy, 1, 0, sketches[1][0]) is None
@@ -135,7 +139,7 @@ def test_nacked_column_recovers_to_loss_free_result():
     assert refused.value.expected_index == 1
     for col in (1, 2, 3, 4):
         assert sm_ingest_column(lossy, 1, col, sketches[1][col]) is None
-    assert lossy.columns == clean.columns
+    assert lossy.sketch == clean.sketch
     assert lossy.complete_cols == clean.complete_cols
 
 
@@ -144,7 +148,7 @@ def test_merge_matches_element_wise_oracle_under_interleaving(op):
     rows, cols, reporters = 4, 6, 3
     rng = random.Random(17)
     sketches = [random_sketch(rng, rows, cols) for _ in range(reporters)]
-    state = SketchMergeState(SketchSpec(rows, cols, op), reporters=reporters)
+    state = SketchMergeState(rows, cols, op, reporters=reporters, w_batch=1)
 
     progress = [0] * reporters
     while any(p < cols for p in progress):
@@ -156,8 +160,8 @@ def test_merge_matches_element_wise_oracle_under_interleaving(op):
     fn = sum if op is MergeOp.SUM else max
     oracle = [[fn(sketches[r][c][row] for r in range(reporters))
                for row in range(rows)] for c in range(cols)]
-    assert state.columns == oracle
-    assert state.complete_cols == state.spec.cols
+    assert state.sketch == flat(oracle)
+    assert state.complete_cols == state.cols
 
 
 def test_merge_invariant_under_reporter_permutation():
@@ -166,10 +170,10 @@ def test_merge_invariant_under_reporter_permutation():
     sketches = [random_sketch(rng, rows, cols) for _ in range(3)]
     results = []
     for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-        state = SketchMergeState(SketchSpec(rows, cols), reporters=3)
+        state = SketchMergeState(rows, cols, MergeOp.SUM, reporters=3, w_batch=1)
         for r in order:
             feed_in_order(state, r, sketches[r])
-        results.append(state.columns)
+        results.append(state.sketch)
     assert results[0] == results[1] == results[2]
 
 
@@ -177,14 +181,14 @@ def test_flush_batches_and_serialization_oracle():
     rows, cols, w_batch = 4, 8, 4
     rng = random.Random(8)
     sketch = random_sketch(rng, rows, cols)
-    state = SketchMergeState(SketchSpec(rows, cols), reporters=1)
+    state = SketchMergeState(rows, cols, MergeOp.SUM, reporters=1, w_batch=w_batch)
     region = MemoryRegion(rows * cols * COUNTER_LEN)
     qp = QueuePair()
     psn = 0
     verbs_seen = 0
     for col, values in enumerate(sketch):
         sm_ingest_column(state, 0, col, values)
-        for verb in sm_flush_completed(state, 0, w_batch):
+        for verb in sm_flush_completed(state):
             verbs_seen += 1
             apply_verb(region, qp, psn, verb)
             psn += 1
@@ -194,20 +198,38 @@ def test_flush_batches_and_serialization_oracle():
 
 
 def test_flush_one_verb_per_column_when_batch_is_one():
-    state = SketchMergeState(SketchSpec(2, 3), reporters=1)
-    region = MemoryRegion(2 * 3 * COUNTER_LEN)
+    state = SketchMergeState(2, 3, MergeOp.SUM, reporters=1, w_batch=1)
     total = []
     for col in range(3):
         sm_ingest_column(state, 0, col, [col, col])
-        total += sm_flush_completed(state, 0, 1)
+        total += sm_flush_completed(state)
     assert len(total) == 3
 
 
 def test_partial_tail_batch_flushes_only_at_completion():
-    state = SketchMergeState(SketchSpec(2, 5), reporters=1)
+    state = SketchMergeState(2, 5, MergeOp.SUM, reporters=1, w_batch=4)
     for col in range(4):
         sm_ingest_column(state, 0, col, [1, 1])
-    assert len(sm_flush_completed(state, 0, 4)) == 1  # first full batch
-    assert sm_flush_completed(state, 0, 4) == []  # tail not complete yet
+    assert len(sm_flush_completed(state)) == 1  # first full batch
+    assert sm_flush_completed(state) == []  # tail not complete yet
     sm_ingest_column(state, 0, 4, [1, 1])
-    assert len(sm_flush_completed(state, 0, 4)) == 1  # final short batch
+    assert len(sm_flush_completed(state)) == 1  # final short batch
+
+
+def test_flush_writes_each_group_at_its_base_offset():
+    state = SketchMergeState(2, 3, MergeOp.MAX, reporters=1, w_batch=2, base=64)
+    for col in range(3):
+        sm_ingest_column(state, 0, col, [col, 2**64 - 1])
+    assert sm_flush_completed(state) == [
+        Write(64, struct.pack("<4Q", 0, 2**64 - 1, 1, 2**64 - 1)),
+        Write(64 + 2 * 2 * COUNTER_LEN, struct.pack("<2Q", 2, 2**64 - 1)),
+    ]
+
+
+@pytest.mark.parametrize("rows, cols, merge_op, reporters, w_batch", [
+    (0, 4, "sum", 1, 1), (2, 0, "sum", 1, 1), (2, 4, "min", 1, 1), (2, 4, "sum", 0, 1),
+    (2, 4, "sum", 1, 0),
+])
+def test_sketch_settings_are_refused_at_build(rows, cols, merge_op, reporters, w_batch):
+    with pytest.raises(ValueError):
+        SketchMergeState(rows, cols, merge_op, reporters, w_batch)

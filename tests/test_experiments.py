@@ -179,9 +179,8 @@ def test_config_hash_tracks_params():
 PINNED_ENGINE_COUNTS = [
     (lambda: kw_monte_carlo(1024, 4, 4, 2, 1.0, 2000, 7, policy=QueryPolicy.SINGLE_VALUE),
      (2000, 479, 1327, 35, 159)),
-    (lambda: kw_monte_carlo(1024, 4, 4, 3, 1.0, 2000, 7, policy=QueryPolicy.PLURALITY,
-                            threshold=2),
-     (2000, 11, 1425, 560, 4)),
+    (lambda: kw_monte_carlo(1024, 4, 4, 3, 1.0, 2000, 7, policy=QueryPolicy.PLURALITY),
+     (2000, 258, 1425, 50, 267)),
     (lambda: pc_monte_carlo(1024, 5, 8, 6, 2, 1.0, 2000, 7), (2000, 503, 1496, 0, 1)),
     (lambda: pc_monte_carlo(1024, 5, 6, 6, 2, 1.0, 2000, 7), (2000, 463, 1165, 58, 314)),
 ]

@@ -8,7 +8,6 @@ from dta.memstore import (
     FetchAdd,
     MemoryRegion,
     OutOfBoundsError,
-    QpState,
     QueuePair,
     Write,
     apply_verb,
@@ -21,10 +20,10 @@ _U64_MOD = 1 << 64
 def reference_apply_verb(region, qp, psn, verb):
     """apply_verb as written before its checks were inlined: validate, then sequence, then apply."""
     reference_validate(region, verb)
-    if qp.state is QpState.DESYNCED:
+    if qp.desynced:
         return False
     if psn % PSN_MOD != qp.expected_psn:
-        qp.state = QpState.DESYNCED
+        qp.desynced = True
         return False
     qp.expected_psn = (qp.expected_psn + 1) % PSN_MOD
 
@@ -76,7 +75,7 @@ def test_psn_gap_desyncs_and_rejects_until_reset():
     region, qp = fresh()
     apply_verb(region, qp, 0, Write(0, b"\x01"))
     assert not apply_verb(region, qp, 2, Write(1, b"\x02"))
-    assert qp.state is QpState.DESYNCED
+    assert qp.desynced
     # same verb again: still rejected while desynced
     assert not apply_verb(region, qp, 2, Write(1, b"\x02"))
     assert region.read(1, 1) == b"\x00"
@@ -88,7 +87,7 @@ def test_psn_gap_desyncs_and_rejects_until_reset():
 def test_reset_on_open_qp_moves_expected():
     _, qp = fresh()
     reset_qp(qp, 7)
-    assert qp.state is QpState.OPEN
+    assert not qp.desynced
     assert qp.expected_psn == 7
 
 
@@ -155,7 +154,7 @@ def test_out_of_bounds_write_raises():
     with pytest.raises(OutOfBoundsError):
         apply_verb(region, qp, 0, Write(15, b"\x00\x01"))
     # bounds bugs surface even on a desynced qp
-    qp.state = QpState.DESYNCED
+    qp.desynced = True
     with pytest.raises(OutOfBoundsError):
         apply_verb(region, qp, 0, Write(20, b"\x00"))
 
@@ -218,7 +217,7 @@ def test_apply_verb_matches_the_reference(steps):
         assert outcomes[:1] == outcomes[1:]
         (_, region, qp), (_, ref_region, ref_qp) = sides
         assert region.snapshot() == ref_region.snapshot()
-        assert (qp.state, qp.expected_psn) == (ref_qp.state, ref_qp.expected_psn)
+        assert (qp.desynced, qp.expected_psn) == (ref_qp.desynced, ref_qp.expected_psn)
 
 
 _counter_adds = st.lists(st.builds(FetchAdd, st.sampled_from(range(0, REGION - 7, 8)),

@@ -169,6 +169,21 @@ def test_eviction_plus_completion_in_one_arrival():
     assert emitted[1].reason is EmissionReason.COMPLETE
 
 
+def test_flush_all_drains_pending_rows_in_slot_order():
+    family = HashFamily(SEED)
+    cache = PostcardCache(slots=64, hops=B, family=family, universe_size=2 ** 10)
+    held = {}  # slot -> the last flow to arrive there, which evicted any before it
+    for flow in range(40):
+        pc_ingest(cache, flow, 0, flow)
+        held[family.cache_slot(flow.to_bytes(8, "big"), 64)] = flow
+    assert cache.occupancy() == len(held) < 40
+    flushed = cache.flush_all()
+    assert [c.flow_id for c in flushed] == [held[slot] for slot in sorted(held)]
+    assert all(c.reason is EmissionReason.EVICTED for c in flushed)
+    assert cache.occupancy() == 0 and cache.flush_all() == []
+    assert cache.early_emissions == 40
+
+
 def test_ingest_validation():
     cache = PostcardCache(slots=4, hops=B, family=HashFamily(SEED), universe_size=16)
     with pytest.raises(ValueError, match=r"hop 5 outside \[0, 5\)"):

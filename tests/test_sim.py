@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import deque
 
@@ -216,7 +217,7 @@ def test_collector_apply_matches_the_per_verb_loop(before_wrap, offset, fault_dr
             raised = type(exc), str(exc)
         sides.append((raised, collector.region.snapshot(), collector.next_psn,
                       collector.verbs_applied, collector.verbs_faulted, collector.qp_desyncs,
-                      collector.qp.state, collector.qp.expected_psn,
+                      collector.qp.desynced, collector.qp.expected_psn,
                       collector.fault_rng.getstate()))
     assert sides[0] == sides[1]
 
@@ -263,15 +264,38 @@ def test_sketch_run_completes_and_matches_oracle():
     assert report.drained and report.exactly_once_ok
     state = s.translator.sketch_state
     assert state.complete_cols == topo.sketch.cols
+    rows = topo.sketch.rows
     for col in range(topo.sketch.cols):
         expected = [sum(per_reporter[r][col].values[row] for r in range(3))
-                    for row in range(topo.sketch.rows)]
-        assert state.columns[col] == expected
+                    for row in range(rows)]
+        assert state.sketch[col * rows:(col + 1) * rows] == expected
     # completed columns were shipped contiguously to collector memory
-    base = s.translator.sketch_base
-    raw = s.translator.region.read(base, topo.sketch.rows * topo.sketch.cols * 8)
-    oracle = b"".join(v.to_bytes(8, "little") for col in state.columns for v in col)
+    raw = s.translator.region.read(state.base, rows * topo.sketch.cols * 8)
+    oracle = b"".join(v.to_bytes(8, "little") for v in state.sketch)
     assert raw == oracle
+
+
+def _build_peak(topology: Topology) -> int:
+    """Octets a ``Simulation`` build peaks at, traced by ``tracemalloc``."""
+    workload = Workload(kind=WorkloadKind.KW_FLOWS, reports=0)
+    Simulation(topology, workload, seed=1)  # builds the shared value codec untraced
+    tracemalloc.start()
+    try:
+        Simulation(topology, workload, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_translator_staging_state_costs_what_it_holds():
+    """A sketch costs a few octets a counter; postcard cache rows cost nothing until held."""
+    default = _build_peak(Topology())
+    counters = 1 << 20
+    sketch = _build_peak(Topology(sketch=sim.SketchConfig(rows=1, cols=counters)))
+    # its sub-region, its flat counters and its per-column merge count: 8 octets each
+    assert (sketch - default) / counters <= 32
+    cache = _build_peak(Topology(pc=sim.PcConfig(cache_slots=1 << 24)))
+    assert cache - default <= 64 << 10
 
 
 def test_meter_saturation_diverts_and_drains():

@@ -57,7 +57,7 @@ def test_kept_names_are_defined_and_still_unread():
     assert [name for name in KEPT if counts[name] >= 2] == []
 
 
-ENUMS = {"Kind", "QpState", "Outcome", "QueryPolicy", "EmissionReason", "Domain"}
+ENUMS = {"Kind", "Outcome", "QueryPolicy", "EmissionReason", "Domain"}
 
 
 @pytest.mark.parametrize("fn", [
