@@ -218,7 +218,7 @@ class TranslatorFlowState:
             self.skipped_unrecoverable += skipped
             self.last_applied[reset.reporter_id] = (reset.new_expected - 1) & _SEQ_MASK
 
-    def receive(self, packet: DtaPacket, verb_cost: int) -> bool:
+    def receive(self, packet: DtaPacket, verb_cost: Optional[int]) -> bool:
         """Whether to apply one report now; applied and diverted ones advance the sequence.
 
         Diverted reports sit in translator memory and are applied later in
@@ -241,6 +241,8 @@ class TranslatorFlowState:
                   & _SEQ_MASK) < _SEQ_HALF:
             # non-essential report reveals a gap in the essential substream
             return self._nack(reporter_id)
+        if verb_cost is None:  # a keepalive: a probe for gaps, never metered or applied
+            return False
 
         # while anything is deferred, later reports must queue behind it so
         # essential application order is preserved

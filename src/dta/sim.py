@@ -28,7 +28,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import append as append_mod
 from . import counters, flowctl, keywrite, postcarding, wire
@@ -108,6 +108,9 @@ class SketchConfig:
     w_batch: int = 4
 
 
+MAX_REPORTERS = 1 << 16
+
+
 @dataclass
 class Topology:
     reporters: int = 1
@@ -122,8 +125,9 @@ class Topology:
     hash_seed: int = 0
 
     def __post_init__(self):
-        if self.reporters < 1:
-            raise ConfigError("topology.reporters", f"must be >= 1, got {self.reporters}")
+        if not 1 <= self.reporters <= MAX_REPORTERS:  # each costs about 2 KB at build
+            raise ConfigError("topology.reporters",
+                              f"must be in [1, {MAX_REPORTERS}], got {self.reporters}")
         # values each report carries to its store, refused here and not per report
         for section in ("kw", "pc", "ki"):
             n = getattr(self, section).redundancy
@@ -154,7 +158,7 @@ class WorkloadKind(Enum):
 @dataclass
 class Workload:
     kind: WorkloadKind
-    reports: int = 1000  # total across reporters (sketch: cols per reporter)
+    reports: int = 1000  # total across reporters (sketch: unused, each ships every column)
     essential: bool = True
     reports_per_step: float = float("inf")  # per-reporter offered rate
     key_space: int = 1 << 24
@@ -208,33 +212,6 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _region_layout(t: Topology) -> dict[str, int]:
-    """Non-overlapping per-primitive sub-regions, in declaration order.
-
-    A layout past ``MAX_REGION_SIZE`` is refused before anything is allocated,
-    naming the section that crosses it.
-    """
-    kw_slot = (t.kw.checksum_bits + 7) // 8 + t.kw.value_len
-    pc_stride = postcarding._next_pow2((t.pc.cell_bits + 7) // 8 * t.pc.hops)
-    sizes = {
-        "kw": t.kw.buflen * kw_slot,
-        "pc": t.pc.chunks * pc_stride,
-        "append": t.append.lists * t.append.capacity * t.append.entry_len,
-        "ki": t.ki.buflen * counters.COUNTER_LEN,
-        "sketch": t.sketch.rows * t.sketch.cols * counters.COUNTER_LEN,
-    }
-    layout, base = {}, 0
-    for name, size in sizes.items():
-        base = (base + 7) // 8 * 8  # keep counters aligned
-        layout[name] = base
-        base += max(size, 0)  # a negative size is the store's to refuse, by its section
-        if base > MAX_REGION_SIZE:
-            raise ConfigError(f"topology.{name}", f"the region would reach {base} octets, "
-                              f"above the ceiling of {MAX_REGION_SIZE}")
-    layout["total"] = base
-    return layout
 
 
 class Collector:
@@ -302,53 +279,37 @@ class Translator:
         self.topology = t
         self.report = report
         self.family = HashFamily(t.hash_seed)
-        layout = _region_layout(t)
-        self.collector = Collector(MemoryRegion(layout["total"]),
-                                   t.translator.fault_drop_verbs, fault_rng)
+        # sub-regions in table order, refused past the ceiling before any is allocated
+        bases, end = {}, 0
+        for p in _PRIMITIVES.values():
+            base = (end + 7) // 8 * 8  # keep counters aligned
+            bases[p.section] = base
+            end = base + max(p.size(t), 0)  # a negative size is the store's to refuse
+            if end > MAX_REGION_SIZE:
+                raise ConfigError(f"topology.{p.section}", f"the region would reach {end} "
+                                  f"octets, above the ceiling of {MAX_REGION_SIZE}")
+        self.collector = Collector(MemoryRegion(end), t.translator.fault_drop_verbs, fault_rng)
         self.region = self.collector.region
         with _section("translator"):
             self.flow = flowctl.TranslatorFlowState(
                 flowctl.TokenBucket(t.translator.meter_rate, t.translator.meter_burst))
-        with _section("kw"):
-            self.kw_store = keywrite.KwStore(
-                self.region, t.kw.buflen, t.kw.checksum_bits, t.kw.value_len,
-                family=self.family, base=layout["kw"])
-        with _section("pc"):
-            codec = value_codec(t.hash_seed, 2 ** t.pc.value_bits, t.pc.cell_bits)
-            self.pc_store = postcarding.PostcardStore(
-                self.region, t.pc.chunks, t.pc.hops, t.pc.cell_bits, codec,
-                family=self.family, base=layout["pc"])
-            self.pc_cache = postcarding.PostcardCache(
-                t.pc.cache_slots, t.pc.hops, self.family, 2 ** t.pc.value_bits)
-        with _section("append"):
-            if t.append.lists < 1:
-                raise ValueError(f"lists must be >= 1, got {t.append.lists}")
-            self.append_engine = append_mod.AppendEngine(t.append.batch_size)
-            for i in range(t.append.lists):
-                self.append_engine.add_list(append_mod.AppendList(
-                    i, layout["append"] + i * t.append.capacity * t.append.entry_len,
-                    t.append.capacity, t.append.entry_len))
-        with _section("ki"):
-            self.ki_store = counters.KiStore(
-                self.region, t.ki.buflen, family=self.family, base=layout["ki"])
-        with _section("sketch"):
-            self.sketch_state = counters.SketchMergeState(
-                t.sketch.rows, t.sketch.cols, t.sketch.merge_op, t.reporters,
-                t.sketch.w_batch, layout["sketch"])
+        # each primitive's store or staging state, by its topology section
+        self.state: dict = {}
+        for p in _PRIMITIVES.values():
+            with _section(p.section):
+                self.state[p.section] = p.build(self, t, bases[p.section])
         # per reporter, the sequence of every essential report applied: the exactly-once audit
         self.applied_seqs: defaultdict[int, array] = defaultdict(lambda: array("I"))
 
     def receive(self, raw: bytes) -> None:
         """Decode, flow-control and apply one datagram; its controls wait on ``flow.controls``."""
         packet = wire.decode(raw)
-        if type(packet) is wire.SeqResetPacket:
-            self.flow.handle_seq_reset(packet)
-            return
+        if type(packet) is not wire.DtaPacket:
+            if type(packet) is wire.SeqResetPacket:
+                self.flow.handle_seq_reset(packet)
+            return  # a NACK or congestion signal is the translator's to send, not a report
         charge, translate = _ROUTES[type(packet.body)]  # one lookup per report
-        cost = charge(self, packet.body)
-        if cost is None:
-            self.flow.receive(packet, 0)  # a keepalive: a probe for gaps, never applied
-        elif self.flow.receive(packet, cost):
+        if self.flow.receive(packet, charge(self, packet.body)):
             self._apply(packet, translate)
 
     def apply(self, packet: wire.DtaPacket) -> None:
@@ -372,78 +333,119 @@ class Translator:
         self.report.reports_applied += 1
 
 
-# Each body type's route: the verbs its report costs the meter (None: a keepalive,
-# which costs none and is never applied) and its translation to verbs.  Plain
-# functions of the translator, since bound methods held by it would make it a
-# reference cycle; the layers are module attributes read per call, so a wrapper
-# installed on one (keywrite.kw_write, say) sees every call.
 def _copies(tr: Translator, body) -> int:
     return min(body.redundancy, MAX_REDUNDANCY)  # a store refuses more, so no more is charged
 
 
+def _pc_build(tr: Translator, t: Topology, base: int) -> tuple:
+    """The chunk store, and the cache that holds each flow's postcards until it emits."""
+    codec = value_codec(t.hash_seed, 2 ** t.pc.value_bits, t.pc.cell_bits)
+    store = postcarding.PostcardStore(tr.region, t.pc.chunks, t.pc.hops, t.pc.cell_bits,
+                                      codec, family=tr.family, base=base)
+    return store, postcarding.PostcardCache(t.pc.cache_slots, t.pc.hops, tr.family,
+                                            2 ** t.pc.value_bits)
+
+
 def _postcard(tr: Translator, packet: wire.DtaPacket, body: wire.PostcardBody) -> list:
+    store, cache = tr.state["pc"]
     verbs = []
-    for chunk in postcarding.pc_ingest(tr.pc_cache, body.flow_id, body.hop, body.value,
+    for chunk in postcarding.pc_ingest(cache, body.flow_id, body.hop, body.value,
                                        body.path_len):
-        verbs += postcarding.pc_write(tr.pc_store, chunk, tr.topology.pc.redundancy)
+        verbs += postcarding.pc_write(store, chunk, tr.topology.pc.redundancy)
     return verbs
 
 
-def _sketch_merge(tr: Translator, packet: wire.DtaPacket, body: wire.SketchMergeBody) -> list:
-    counters.sm_ingest_column(tr.sketch_state, packet.reporter_id, body.col_index, body.values)
-    return counters.sm_flush_completed(tr.sketch_state)
-
-
-_ROUTES = {
-    wire.KeyWriteBody: (_copies, lambda tr, packet, body: keywrite.kw_write(
-        tr.kw_store, body.key, body.value, body.redundancy)),
-    wire.AppendBody: (lambda tr, body: None if flowctl.is_keepalive(body) else 1,
-                      lambda tr, packet, body: tr.append_engine.ingest(body.list_id, body.entry)),
-    wire.KeyIncrementBody: (_copies, lambda tr, packet, body: counters.ki_increment(
-        tr.ki_store, body.key, body.delta, body.redundancy)),
-    wire.PostcardBody: (lambda tr, body: tr.topology.pc.redundancy, _postcard),
-    wire.SketchMergeBody: (lambda tr, body: 1, _sketch_merge),
-}
-
-
-def _generate_bodies(topology: Topology, workload: Workload, reporter_id: int,
-                     count: int, rng: random.Random) -> list:
-    t, w = topology, workload
+def _pc_bodies(t: Topology, w: Workload, reporter_id: int, count: int,
+               rng: random.Random) -> list:
+    if w.path_len_fixed is not None and not 1 <= w.path_len_fixed <= t.pc.hops:
+        raise ConfigError("workload.path_len_fixed", f"must be in [1, {t.pc.hops}] "
+                          f"(topology.pc.hops), got {w.path_len_fixed}")
+    universe = 2 ** t.pc.value_bits
     bodies: list = []
-    if w.kind is WorkloadKind.KW_FLOWS:
-        for _ in range(count):
-            key = rng.randrange(w.key_space).to_bytes(8, "big")
-            value = rng.randbytes(t.kw.value_len)
-            bodies.append(wire.KeyWriteBody(t.kw.redundancy, key, value))
-    elif w.kind is WorkloadKind.KI_COUNTERS:
-        for _ in range(count):
-            key = rng.randrange(w.key_space).to_bytes(8, "big")
-            bodies.append(wire.KeyIncrementBody(t.ki.redundancy, key,
-                                                rng.randint(0, w.max_delta)))
-    elif w.kind is WorkloadKind.APPEND_EVENTS:
-        for i in range(count):
-            bodies.append(wire.AppendBody(i % t.append.lists,
-                                          rng.randbytes(t.append.entry_len)))
-    elif w.kind is WorkloadKind.POSTCARDS:
-        if w.path_len_fixed is not None and not 1 <= w.path_len_fixed <= t.pc.hops:
-            raise ConfigError("workload.path_len_fixed", f"must be in [1, {t.pc.hops}] "
-                              f"(topology.pc.hops), got {w.path_len_fixed}")
-        universe = 2 ** t.pc.value_bits
-        flow = 0
-        while len(bodies) < count:
-            flow_id = (reporter_id << 40) | flow
-            flow += 1
-            path_len = w.path_len_fixed or rng.randint(1, t.pc.hops)
-            for hop in range(path_len):
-                if len(bodies) == count:
-                    break
-                bodies.append(wire.PostcardBody(flow_id, hop, rng.randrange(universe),
-                                                path_len))
-    else:  # SKETCH_COLUMNS
-        for col in range(count):
-            values = tuple(rng.randrange(1 << 20) for _ in range(t.sketch.rows))
-            bodies.append(wire.SketchMergeBody(col, values))
+    flow = 0
+    while len(bodies) < count:
+        flow_id = (reporter_id << 40) | flow
+        flow += 1
+        path_len = w.path_len_fixed or rng.randint(1, t.pc.hops)
+        for hop in range(path_len):
+            if len(bodies) == count:
+                break
+            bodies.append(wire.PostcardBody(flow_id, hop, rng.randrange(universe), path_len))
     return bodies
+
+
+def _append_build(tr: Translator, t: Topology, base: int) -> append_mod.AppendEngine:
+    a = t.append
+    if a.lists < 1:
+        raise ValueError(f"lists must be >= 1, got {a.lists}")
+    engine = append_mod.AppendEngine(a.batch_size)
+    for i in range(a.lists):
+        engine.add_list(append_mod.AppendList(i, base + i * a.capacity * a.entry_len,
+                                              a.capacity, a.entry_len))
+    return engine
+
+
+def _sketch_merge(tr: Translator, packet: wire.DtaPacket, body: wire.SketchMergeBody) -> list:
+    counters.sm_ingest_column(tr.state["sketch"], packet.reporter_id, body.col_index, body.values)
+    return counters.sm_flush_completed(tr.state["sketch"])
+
+
+class _Primitive(NamedTuple):
+    section: str  # its topology section, which names it in config errors
+    size: Callable  # (t) -> octets of its sub-region
+    build: Callable  # (tr, t, base) -> its store or staging state
+    body: type  # its wire body type
+    charge: Callable  # (tr, body) -> verbs the meter charges; None: a keepalive
+    translate: Callable  # (tr, packet, body) -> its verbs
+    bodies: Callable  # (t, w, reporter_id, count, rng) -> that kind's reports
+
+
+# One record per primitive, in region order (WorkloadKind's: memory_sha256 depends
+# on it).  Its functions take the translator, as bound methods held by it would make
+# a reference cycle, and look each layer's function up per call, so a wrapper
+# installed on one (keywrite.kw_write, say) sees every call.
+_PRIMITIVES = {
+    WorkloadKind.KW_FLOWS: _Primitive(
+        "kw", lambda t: t.kw.buflen * ((t.kw.checksum_bits + 7) // 8 + t.kw.value_len),
+        lambda tr, t, base: keywrite.KwStore(tr.region, t.kw.buflen, t.kw.checksum_bits,
+                                             t.kw.value_len, family=tr.family, base=base),
+        wire.KeyWriteBody, _copies,
+        lambda tr, packet, body: keywrite.kw_write(tr.state["kw"], body.key, body.value,
+                                                   body.redundancy),
+        lambda t, w, reporter_id, count, rng: [wire.KeyWriteBody(
+            t.kw.redundancy, rng.randrange(w.key_space).to_bytes(8, "big"),
+            rng.randbytes(t.kw.value_len)) for _ in range(count)]),
+    WorkloadKind.POSTCARDS: _Primitive(
+        "pc", lambda t: t.pc.chunks * postcarding._next_pow2(
+            (t.pc.cell_bits + 7) // 8 * t.pc.hops), _pc_build,
+        wire.PostcardBody, lambda tr, body: tr.topology.pc.redundancy, _postcard, _pc_bodies),
+    WorkloadKind.APPEND_EVENTS: _Primitive(
+        "append", lambda t: t.append.lists * t.append.capacity * t.append.entry_len,
+        _append_build, wire.AppendBody,
+        lambda tr, body: None if flowctl.is_keepalive(body) else 1,
+        lambda tr, packet, body: tr.state["append"].ingest(body.list_id, body.entry),
+        lambda t, w, reporter_id, count, rng: [wire.AppendBody(
+            i % t.append.lists, rng.randbytes(t.append.entry_len)) for i in range(count)]),
+    WorkloadKind.KI_COUNTERS: _Primitive(
+        "ki", lambda t: t.ki.buflen * counters.COUNTER_LEN,
+        lambda tr, t, base: counters.KiStore(tr.region, t.ki.buflen, family=tr.family, base=base),
+        wire.KeyIncrementBody, _copies,
+        lambda tr, packet, body: counters.ki_increment(tr.state["ki"], body.key, body.delta,
+                                                       body.redundancy),
+        lambda t, w, reporter_id, count, rng: [wire.KeyIncrementBody(
+            t.ki.redundancy, rng.randrange(w.key_space).to_bytes(8, "big"),
+            rng.randint(0, w.max_delta)) for _ in range(count)]),
+    WorkloadKind.SKETCH_COLUMNS: _Primitive(
+        "sketch", lambda t: t.sketch.rows * t.sketch.cols * counters.COUNTER_LEN,
+        lambda tr, t, base: counters.SketchMergeState(
+            t.sketch.rows, t.sketch.cols, t.sketch.merge_op, t.reporters, t.sketch.w_batch, base),
+        wire.SketchMergeBody, lambda tr, body: 1, _sketch_merge,
+        # every reporter ships its whole sketch, whatever its share of the reports
+        lambda t, w, reporter_id, count, rng: [wire.SketchMergeBody(
+            col, tuple(rng.randrange(1 << 20) for _ in range(t.sketch.rows)))
+            for col in range(t.sketch.cols)]),
+}
+_ROUTES = {p.body: (p.charge, p.translate) for p in _PRIMITIVES.values()}  # by body type
 
 
 class Simulation:
@@ -464,17 +466,12 @@ class Simulation:
             self.reporters = [flowctl.ReporterState(r, topology.backlog_capacity,
                                                     initial_rate=workload.reports_per_step)
                               for r in range(topology.reporters)]
+        bodies = _PRIMITIVES[workload.kind].bodies
+        per_reporter, extra = divmod(workload.reports, topology.reporters)
         for rep in self.reporters:
-            if workload.kind is WorkloadKind.SKETCH_COLUMNS:
-                share = topology.sketch.cols  # every reporter ships its whole sketch
-            else:
-                share = workload.reports // topology.reporters + (
-                    1 if rep.reporter_id < workload.reports % topology.reporters else 0
-                )
-            rep.pending.extend(_generate_bodies(
-                topology, workload, rep.reporter_id, share,
-                random.Random(f"{seed}:wl:{rep.reporter_id}"),
-            ))
+            share = per_reporter + (rep.reporter_id < extra)
+            rep.pending.extend(bodies(topology, workload, rep.reporter_id, share,
+                                      random.Random(f"{seed}:wl:{rep.reporter_id}")))
             self.report.reports_offered += len(rep.pending)
 
     def run(self) -> RunReport:

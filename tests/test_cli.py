@@ -8,7 +8,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dta import sim
@@ -443,7 +443,12 @@ _REGION_LEAVES = {"topology.kw.buflen", "topology.kw.checksum_bits", "topology.k
 
 
 def _values(target):
-    """The bounded pool; ``pc.value_bits`` skips the ints whose codec takes long to build."""
+    """The bounded pool; ``pc.value_bits`` skips the ints whose codec takes long to build.
+
+    ``reporters`` past ``MAX_REPORTERS`` is refused before any reporter is built.
+    """
+    if target == "topology.reporters":
+        return _POOL | st.integers(-3, 40) | st.integers(sim.MAX_REPORTERS + 1, 1 << 64)
     if target == "topology.pc.value_bits":
         return _POOL | st.integers(-3, 12) | st.integers(25, 40)
     if target in _REGION_LEAVES:
@@ -477,6 +482,8 @@ def _mutated_configs(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(_mutated_configs())
+@example(({"topology": {**_SMALL_TOPOLOGY, "reporters": sim.MAX_REPORTERS + 1},
+           "workload": {"kind": "kw-flows", "reports": 6}}, set()))
 def test_validate_fuzz_is_ok_or_one_error_naming_a_declared_path(tmp_path_factory, case):
     """Whatever the leaves hold, ``validate`` prints ``ok`` or ``error: <path>:``."""
     config, unknown = case

@@ -106,8 +106,21 @@ def test_non_essential_report_reveals_gap():
     rep.send(REPORT, ESSENTIAL)  # lost
     heartbeat = decode(rep.heartbeat())
     assert is_keepalive(heartbeat.body)
-    assert flow.receive(heartbeat, 0) is False
+    assert flow.receive(heartbeat, None) is False
     assert flow.controls == [NackPacket(0, 1)]
+
+
+def test_a_keepalive_behind_a_deferred_report_is_never_metered():
+    """A keepalive costs no verbs: it is neither dropped nor a cause for a congestion signal."""
+    flow = TranslatorFlowState(TokenBucket(rate=0, burst=1))
+    rep = ReporterState(0)
+    assert flow.receive(decode(rep.send(REPORT, ESSENTIAL)), 1) is True
+    assert flow.receive(decode(rep.send(REPORT, ESSENTIAL)), 1) is False  # diverted
+    flow.begin_step()
+    flow.controls.clear()
+    assert flow.receive(decode(rep.heartbeat()), None) is False
+    assert flow.dropped_low_priority == 0 and flow.controls == []
+    assert flow.diverted == flow.congestion_signals == 1 and len(flow.deferred) == 1
 
 
 def test_keepalive_is_exactly_the_reserved_empty_append():

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+import typing
 import weakref
 from collections import deque
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dta import sim, wire
+from dta.counters import COUNTER_LEN
 from dta.memstore import (
     PSN_MOD,
     FetchAdd,
@@ -46,7 +48,7 @@ def test_zero_loss_kw_run_applies_everything_and_answers_queries():
     assert report.drained and report.exactly_once_ok
     assert report.qp_desyncs == 0
     for body in bodies:  # age-0 queries on a 64K store all succeed
-        res = kw_query(s.translator.kw_store, body.key, topo.kw.redundancy)
+        res = kw_query(s.translator.state["kw"], body.key, topo.kw.redundancy)
         assert res.outcome is Outcome.VALUE
         assert res.value == body.value
 
@@ -234,7 +236,7 @@ def test_postcard_run_aggregates_paths():
         flows.setdefault(body.flow_id, []).append(body.value)
     complete = {f: vals for f, vals in flows.items() if len(vals) == 5}
     hits = sum(
-        pc_query(s.translator.pc_store, f, topo.pc.redundancy).value == tuple(vals)
+        pc_query(s.translator.state["pc"][0], f, topo.pc.redundancy).value == tuple(vals)
         for f, vals in complete.items()
     )
     assert hits / len(complete) > 0.95  # rare chunk collisions may erase a path
@@ -252,7 +254,7 @@ def test_ki_run_never_underestimates():
     from dta.counters import ki_query
 
     for key, total in exact.items():
-        assert ki_query(s.translator.ki_store, key, topo.ki.redundancy) >= total
+        assert ki_query(s.translator.state["ki"], key, topo.ki.redundancy) >= total
 
 
 def test_sketch_run_completes_and_matches_oracle():
@@ -262,7 +264,7 @@ def test_sketch_run_completes_and_matches_oracle():
     per_reporter = [list(rep.pending) for rep in s.reporters]
     report = s.run()
     assert report.drained and report.exactly_once_ok
-    state = s.translator.sketch_state
+    state = s.translator.state["sketch"]
     assert state.complete_cols == topo.sketch.cols
     rows = topo.sketch.rows
     for col in range(topo.sketch.cols):
@@ -273,6 +275,63 @@ def test_sketch_run_completes_and_matches_oracle():
     raw = s.translator.region.read(state.base, rows * topo.sketch.cols * 8)
     oracle = b"".join(v.to_bytes(8, "little") for v in state.sketch)
     assert raw == oracle
+
+
+def test_every_workload_kind_and_wire_body_has_one_primitive():
+    """One record per kind, in WorkloadKind's order, which is the region's order."""
+    assert list(sim._PRIMITIVES) == list(WorkloadKind)
+    sections = [p.section for p in sim._PRIMITIVES.values()]
+    assert len(set(sections)) == len(sections)
+    assert all(hasattr(Topology(), section) for section in sections)
+    bodies = [p.body for p in sim._PRIMITIVES.values()]
+    assert sorted(bodies, key=str) == sorted(typing.get_args(wire.Body), key=str)
+    assert set(sim._ROUTES) == set(bodies)
+
+
+def _span(section: str, state) -> tuple[int, int]:
+    """The octets [start, end) of the region a primitive's store or staging state addresses."""
+    if section == "kw":
+        return state.base, state.base + state.buflen * state.slot_len
+    if section == "pc":
+        store = state[0]
+        return store.base, store.base + store.chunks * store.chunk_stride
+    if section == "append":
+        lists = list(state.lists.values())
+        return lists[0].base, lists[-1].base + lists[-1].capacity * lists[-1].entry_len
+    if section == "ki":
+        return state.base, state.base + state.buflen * COUNTER_LEN
+    return state.base, state.base + state.rows * state.cols * COUNTER_LEN
+
+
+_SMALL_TOPOLOGIES = st.builds(
+    Topology,
+    reporters=st.integers(1, 3),
+    kw=st.builds(sim.KwConfig, buflen=st.integers(1, 64), checksum_bits=st.integers(1, 64),
+                 value_len=st.integers(1, 9)),
+    pc=st.builds(sim.PcConfig, chunks=st.integers(1, 64), hops=st.integers(1, 9),
+                 cache_slots=st.integers(1, 16)),
+    append=st.integers(1, 4).flatmap(lambda batch: st.builds(
+        sim.AppendConfig, lists=st.integers(1, 4), entry_len=st.integers(1, 9),
+        capacity=st.integers(1, 8).map(lambda n: n * batch), batch_size=st.just(batch))),
+    ki=st.builds(sim.KiConfig, buflen=st.integers(1, 64)),
+    sketch=st.builds(sim.SketchConfig, rows=st.integers(1, 4), cols=st.integers(1, 16),
+                     w_batch=st.integers(1, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_TOPOLOGIES)
+def test_the_sub_regions_are_aligned_packed_in_table_order_and_fill_the_region(topo):
+    tr = Simulation(topo, Workload(WorkloadKind.KW_FLOWS, reports=0), seed=1).translator
+    end = 0
+    for p in sim._PRIMITIVES.values():
+        start, stop = _span(p.section, tr.state[p.section])
+        assert start % 8 == 0, p.section
+        assert end <= start < end + 8, p.section  # after the one before, padded to align only
+        assert stop - start == p.size(topo), p.section
+        assert stop <= tr.region.size, p.section
+        end = stop
+    assert tr.region.size == end
 
 
 def _build_peak(topology: Topology) -> int:
@@ -433,6 +492,51 @@ def test_refused_reports_leave_a_lossy_run_as_without_them(kind, data):
     assert mixed.reports_refused == len(bad) and expected.reports_refused == 0
     for name in ("reports_applied", "verbs_applied", "memory_sha256"):
         assert getattr(mixed, name) == getattr(expected, name), name
+
+
+@pytest.mark.parametrize("meter_rate, meter_burst, loss", [(2, 4, 0.2), (5, 5, 0.1), (1, 2, 0.3)])
+def test_a_keepalive_is_never_metered(meter_rate, meter_burst, loss):
+    """Every report is essential, so a tail keepalive behind a deferred one drops nothing."""
+    topo = Topology(reporters=2, link=LinkConfig(loss, loss),
+                    translator=TranslatorConfig(meter_rate=meter_rate, meter_burst=meter_burst))
+    wl = Workload(WorkloadKind.KW_FLOWS, 100, reports_per_step=16)
+    for seed in range(30):
+        report = sim.run(topo, wl, seed)
+        assert report.drained and report.exactly_once_ok, seed
+        assert report.dropped_low_priority == 0, seed
+
+
+def _translator_state(s: Simulation) -> tuple:
+    """Every counter, sequence and octet a datagram at the translator could change."""
+    tr, flow = s.translator, s.translator.flow
+    counts = {name: value for name, value in vars(flow).items() if isinstance(value, int)}
+    return (s.report.to_dict(), counts, dict(flow.last_applied), list(flow.controls),
+            list(flow.deferred), {r: list(seqs) for r, seqs in tr.applied_seqs.items()},
+            flow.meter.tokens, tr.region.snapshot(), tr.collector.next_psn)
+
+
+@pytest.mark.parametrize("control", [wire.NackPacket(0, 1), wire.CongestionSignal(0)],
+                         ids=["nack", "congestion-signal"])
+def test_a_control_datagram_at_the_translator_is_ignored(control):
+    """A NACK or congestion signal decodes but is no report: nothing changes."""
+    s = Simulation(Topology(reporters=2, link=LinkConfig(0.05, 0.05)),
+                   Workload(WorkloadKind.KI_COUNTERS, reports=200, reports_per_step=16), seed=4)
+    s.run()
+    before = _translator_state(s)
+    s.translator.receive(wire.encode(control))
+    assert _translator_state(s) == before
+
+
+def test_reporters_past_the_cap_are_refused_before_anything_is_built():
+    """Each reporter costs about 2 KB at build, so their number has a ceiling."""
+    cap = sim.MAX_REPORTERS
+    assert cap == 2**16
+    for reporters in (cap + 1, 2**64):
+        with pytest.raises(ConfigError) as err:
+            topology_from_dict({"reporters": reporters})
+        assert err.value.path == "topology.reporters"
+        assert str(err.value) == f"topology.reporters: must be in [1, {cap}], got {reporters}"
+    assert Topology(reporters=cap).reporters == cap  # only the topology: no run is built
 
 
 def test_insufficient_backlog_counts_unrecoverable_but_terminates():
