@@ -27,22 +27,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
 from . import analysis, sim
-from .append import AppendEngine, AppendList, PollCursor, append_poll
-from .counters import KiStore, ki_increment, ki_query
-from .hashing import ALGORITHM_ID, Domain, HashFamily, value_codec
+from .append import PollCursor, append_poll
+from .counters import ki_increment, ki_query
+from .hashing import ALGORITHM_ID, Domain, HashFamily
 from .keywrite import KwStore, QueryPolicy, kw_query, kw_write
 # apply_verb is not called here: bench/spans.py wraps this name in this module
-from .memstore import MemoryRegion, Outcome, QueryResult, apply_verb  # noqa: F401
-from .postcarding import (
-    EmissionReason,
-    EmittedChunk,
-    PostcardCache,
-    PostcardStore,
-    pc_ingest,
-    pc_query,
-    pc_write,
-    _next_pow2,
-)
+from .memstore import Outcome, QueryResult, apply_verb  # noqa: F401
+from .postcarding import EmissionReason, EmittedChunk, PostcardCache, pc_ingest, pc_query, pc_write
 
 
 @dataclass(frozen=True)
@@ -160,6 +151,8 @@ def tally(indexes: Iterable[int], query: Callable, expected: Callable) -> McStat
 def exact_age(write: Callable, query: Callable, expected: Callable, age: int,
               queries: int) -> McStats:
     """Tally ``queries`` keys, each queried exactly ``age`` writes after its own."""
+    if queries < 1:
+        raise ValueError(f"queries must be >= 1, got {queries}")
     for i in range(age):
         write(i)
 
@@ -195,8 +188,8 @@ def stream_value(key: bytes, value_len: int) -> bytes:
 
 
 def _kw_store(buflen: int, checksum_bits: int, value_len: int, seed: int) -> KwStore:
-    region = MemoryRegion(buflen * ((checksum_bits + 7) // 8 + value_len))
-    return KwStore(region, buflen, checksum_bits, value_len, family=HashFamily(seed))
+    t = sim.Topology(kw=sim.KwConfig(buflen, checksum_bits, value_len), hash_seed=seed)
+    return sim.build_alone(sim.WorkloadKind.KW_FLOWS, t)[0]
 
 
 def _kw_writer(store: KwStore, redundancy: int, seed: int) -> Callable[[int], None]:
@@ -346,13 +339,9 @@ def pc_monte_carlo(
     once stored, so correctness is judged against the canonical decode of the
     written values; ``wrong`` counts only the modeled misdecode event.
     """
-    family = HashFamily(seed)
-    universe = 2 ** value_bits
-    codec = value_codec(seed, universe, cell_bits)
-    stride = _next_pow2((cell_bits + 7) // 8 * hops)
-    store = PostcardStore(MemoryRegion(chunks * stride), chunks, hops, cell_bits,
-                          codec, family=family)
-    collector = sim.Collector(store.region)
+    t = sim.Topology(pc=sim.PcConfig(chunks, hops, cell_bits, value_bits), hash_seed=seed)
+    (store, _), collector = sim.build_alone(sim.WorkloadKind.POSTCARDS, t)
+    family, codec, universe = store.family, store.codec, 2 ** value_bits
     complete = EmissionReason.COMPLETE  # an enum member costs a lookup per read
 
     def write(flow_id: int) -> None:
@@ -437,11 +426,9 @@ def append_reference_run(batch_size: int, entry_len: int, lists: int, capacity: 
     Returns the final region bytes and, per list, everything a poll drains
     (entries plus the overrun skip count).
     """
-    region = MemoryRegion(lists * capacity * entry_len)
-    engine = AppendEngine(batch_size)
-    collector = sim.Collector(region)
-    for i in range(lists):
-        engine.add_list(AppendList(i, i * capacity * entry_len, capacity, entry_len))
+    t = sim.Topology(append=sim.AppendConfig(lists, capacity, entry_len, batch_size))
+    engine, collector = sim.build_alone(sim.WorkloadKind.APPEND_EVENTS, t)
+    region = collector.region
     for list_id, entry in sequence:
         collector.apply(engine.ingest(list_id, entry))
     for i in range(lists):
@@ -483,11 +470,11 @@ def _suite_append_bench(params: dict, seed: int) -> list[dict]:
 def ki_accuracy_run(buflen: int, redundancy: int, stream_len: int, key_space: int,
                     max_delta: int, seed: int) -> dict:
     """Randomized increment stream checked against an exact per-key map."""
+    if stream_len < 1:
+        raise ValueError(f"stream_len must be >= 1, got {stream_len}")
     rng = random.Random(f"{seed}:ki")
-    family = HashFamily(seed)
-    region = MemoryRegion(buflen * 8)
-    store = KiStore(region, buflen, family=family)
-    collector = sim.Collector(region)
+    store, collector = sim.build_alone(sim.WorkloadKind.KI_COUNTERS,
+                                       sim.Topology(ki=sim.KiConfig(buflen), hash_seed=seed))
     exact: dict[bytes, int] = {}
     total = 0
     for _ in range(stream_len):

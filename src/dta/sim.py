@@ -192,6 +192,7 @@ class RunReport:
     reports_offered: int = 0
     packets_sent: int = 0  # includes retransmissions and keepalives
     packets_lost: int = 0
+    malformed: int = 0  # delivered datagrams that failed to decode, then ignored
     reports_applied: int = 0
     reports_refused: int = 0  # delivered in order, refused by its store
     retransmissions: int = 0
@@ -297,13 +298,17 @@ class Translator:
         self.state: dict = {}
         for p in _PRIMITIVES.values():
             with _section(p.section):
-                self.state[p.section] = p.build(self, t, bases[p.section])
+                self.state[p.section] = p.build(self.region, self.family, t, bases[p.section])
         # per reporter, the sequence of every essential report applied: the exactly-once audit
         self.applied_seqs: defaultdict[int, array] = defaultdict(lambda: array("I"))
 
     def receive(self, raw: bytes) -> None:
         """Decode, flow-control and apply one datagram; its controls wait on ``flow.controls``."""
-        packet = wire.decode(raw)
+        try:
+            packet = wire.decode(raw)
+        except wire.WireError:
+            self.report.malformed += 1  # changes no other state
+            return
         if type(packet) is not wire.DtaPacket:
             if type(packet) is wire.SeqResetPacket:
                 self.flow.handle_seq_reset(packet)
@@ -337,12 +342,12 @@ def _copies(tr: Translator, body) -> int:
     return min(body.redundancy, MAX_REDUNDANCY)  # a store refuses more, so no more is charged
 
 
-def _pc_build(tr: Translator, t: Topology, base: int) -> tuple:
+def _pc_build(region: MemoryRegion, family: HashFamily, t: Topology, base: int) -> tuple:
     """The chunk store, and the cache that holds each flow's postcards until it emits."""
     codec = value_codec(t.hash_seed, 2 ** t.pc.value_bits, t.pc.cell_bits)
-    store = postcarding.PostcardStore(tr.region, t.pc.chunks, t.pc.hops, t.pc.cell_bits,
-                                      codec, family=tr.family, base=base)
-    return store, postcarding.PostcardCache(t.pc.cache_slots, t.pc.hops, tr.family,
+    store = postcarding.PostcardStore(region, t.pc.chunks, t.pc.hops, t.pc.cell_bits,
+                                      codec, family=family, base=base)
+    return store, postcarding.PostcardCache(t.pc.cache_slots, t.pc.hops, family,
                                             2 ** t.pc.value_bits)
 
 
@@ -374,7 +379,8 @@ def _pc_bodies(t: Topology, w: Workload, reporter_id: int, count: int,
     return bodies
 
 
-def _append_build(tr: Translator, t: Topology, base: int) -> append_mod.AppendEngine:
+def _append_build(region: MemoryRegion, family: HashFamily, t: Topology,
+                  base: int) -> append_mod.AppendEngine:
     a = t.append
     if a.lists < 1:
         raise ValueError(f"lists must be >= 1, got {a.lists}")
@@ -393,7 +399,7 @@ def _sketch_merge(tr: Translator, packet: wire.DtaPacket, body: wire.SketchMerge
 class _Primitive(NamedTuple):
     section: str  # its topology section, which names it in config errors
     size: Callable  # (t) -> octets of its sub-region
-    build: Callable  # (tr, t, base) -> its store or staging state
+    build: Callable  # (region, family, t, base) -> its store or staging state
     body: type  # its wire body type
     charge: Callable  # (tr, body) -> verbs the meter charges; None: a keepalive
     translate: Callable  # (tr, packet, body) -> its verbs
@@ -401,14 +407,15 @@ class _Primitive(NamedTuple):
 
 
 # One record per primitive, in region order (WorkloadKind's: memory_sha256 depends
-# on it).  Its functions take the translator, as bound methods held by it would make
-# a reference cycle, and look each layer's function up per call, so a wrapper
-# installed on one (keywrite.kw_write, say) sees every call.
+# on it).  ``build`` takes a region and family, so ``build_alone`` builds outside a run.
+# The others take the translator, as bound methods held by it would make a reference
+# cycle, and look each layer's function up per call, so a wrapper installed on one
+# (keywrite.kw_write, say) sees every call.
 _PRIMITIVES = {
     WorkloadKind.KW_FLOWS: _Primitive(
         "kw", lambda t: t.kw.buflen * ((t.kw.checksum_bits + 7) // 8 + t.kw.value_len),
-        lambda tr, t, base: keywrite.KwStore(tr.region, t.kw.buflen, t.kw.checksum_bits,
-                                             t.kw.value_len, family=tr.family, base=base),
+        lambda region, family, t, base: keywrite.KwStore(
+            region, t.kw.buflen, t.kw.checksum_bits, t.kw.value_len, family=family, base=base),
         wire.KeyWriteBody, _copies,
         lambda tr, packet, body: keywrite.kw_write(tr.state["kw"], body.key, body.value,
                                                    body.redundancy),
@@ -428,7 +435,7 @@ _PRIMITIVES = {
             i % t.append.lists, rng.randbytes(t.append.entry_len)) for i in range(count)]),
     WorkloadKind.KI_COUNTERS: _Primitive(
         "ki", lambda t: t.ki.buflen * counters.COUNTER_LEN,
-        lambda tr, t, base: counters.KiStore(tr.region, t.ki.buflen, family=tr.family, base=base),
+        lambda region, family, t, base: counters.KiStore(region, t.ki.buflen, family, base),
         wire.KeyIncrementBody, _copies,
         lambda tr, packet, body: counters.ki_increment(tr.state["ki"], body.key, body.delta,
                                                        body.redundancy),
@@ -437,7 +444,7 @@ _PRIMITIVES = {
             rng.randint(0, w.max_delta)) for _ in range(count)]),
     WorkloadKind.SKETCH_COLUMNS: _Primitive(
         "sketch", lambda t: t.sketch.rows * t.sketch.cols * counters.COUNTER_LEN,
-        lambda tr, t, base: counters.SketchMergeState(
+        lambda region, family, t, base: counters.SketchMergeState(
             t.sketch.rows, t.sketch.cols, t.sketch.merge_op, t.reporters, t.sketch.w_batch, base),
         wire.SketchMergeBody, lambda tr, body: 1, _sketch_merge,
         # every reporter ships its whole sketch, whatever its share of the reports
@@ -446,6 +453,13 @@ _PRIMITIVES = {
             for col in range(t.sketch.cols)]),
 }
 _ROUTES = {p.body: (p.charge, p.translate) for p in _PRIMITIVES.values()}  # by body type
+
+
+def build_alone(kind: WorkloadKind, t: Topology) -> tuple:
+    """One primitive's state at base 0 of a region of its own, and a Collector over it."""
+    p = _PRIMITIVES[kind]
+    region = MemoryRegion(p.size(t))
+    return p.build(region, HashFamily(t.hash_seed), t, 0), Collector(region)
 
 
 class Simulation:

@@ -84,6 +84,13 @@ def test_suite_unknown_name_and_param(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "bounds" in captured.err
+    # a suite with no trials refuses its parameter, where it used to divide by zero
+    for suite, param in [("kw-redundancy", "queries"), ("postcarding-accuracy", "queries"),
+                         ("ki-accuracy", "stream_len")]:
+        assert run_cli("suite", suite, "--set", f"{param}=0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines() == [f"error: {param} must be >= 1, got 0"]
 
 
 def test_run_and_diff_and_dump(tmp_path, capsys):
@@ -253,7 +260,8 @@ def test_suite_refuses_a_value_universe_too_wide_to_build(capsys):
     assert run_cli("suite", "postcarding-accuracy", "--set", "value_bits=40") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: universe_size must be an int in [1, 2^24]")
+    assert captured.err.startswith(
+        "error: topology.pc.value_bits: must be an int in [0, 24], got 40")
 
 
 @pytest.mark.parametrize("rate", [0.5, 0, float("nan")])

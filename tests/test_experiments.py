@@ -162,7 +162,7 @@ def test_pc_monte_carlo_shares_one_codec_and_matches_a_fresh_one(monkeypatch):
     again = pc_monte_carlo(*args)
     assert value_codec.cache_info().hits == 1
     assert first == again
-    monkeypatch.setattr(experiments, "value_codec",
+    monkeypatch.setattr(sim, "value_codec",
                         lambda seed, size, bits: ValueCodec(HashFamily(seed), size, bits))
     assert pc_monte_carlo(*args) == first
 

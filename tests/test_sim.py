@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import random
 import tracemalloc
+import types
 import typing
 import weakref
 from collections import deque
@@ -334,6 +336,31 @@ def test_the_sub_regions_are_aligned_packed_in_table_order_and_fill_the_region(t
     assert tr.region.size == end
 
 
+@pytest.mark.parametrize("kind", list(WorkloadKind), ids=lambda k: k.value)
+@settings(max_examples=30, deadline=None)
+@given(topo=_SMALL_TOPOLOGIES, hash_seed=st.integers(0, 2**64 - 1),
+       reports=st.integers(0, 40), seed=st.integers(0, 2**16))
+def test_a_primitive_built_alone_writes_what_it_writes_inside_a_translator(
+        kind, topo, hash_seed, reports, seed):
+    """What ``build_alone`` gives the engines is the translator's sub-region, moved to 0."""
+    topo = dataclasses.replace(topo, hash_seed=hash_seed)
+    p = sim._PRIMITIVES[kind]
+    state, collector = sim.build_alone(kind, topo)
+    assert collector.region.size == p.size(topo)
+    tr = Simulation(topo, Workload(kind, reports=0), seed).translator
+    alone = types.SimpleNamespace(state={p.section: state}, topology=topo)  # what translate reads
+    rng = random.Random(seed)
+    for reporter_id in range(topo.reporters):
+        for body in p.bodies(topo, Workload(kind, key_space=64), reporter_id, reports, rng):
+            packet = wire.DtaPacket(body, reporter_id, 0, 0)
+            tr.apply(packet)
+            collector.apply(p.translate(alone, packet, body))
+    assert tr.report.reports_applied > 0 or reports == 0
+    assert tr.report.reports_refused == 0
+    base = _span(p.section, tr.state[p.section])[0]
+    assert collector.region.snapshot() == tr.region.snapshot()[base:base + p.size(topo)]
+
+
 def _build_peak(topology: Topology) -> int:
     """Octets a ``Simulation`` build peaks at, traced by ``tracemalloc``."""
     workload = Workload(kind=WorkloadKind.KW_FLOWS, reports=0)
@@ -527,6 +554,61 @@ def test_a_control_datagram_at_the_translator_is_ignored(control):
     assert _translator_state(s) == before
 
 
+def _mid_run(kind: WorkloadKind, seed: int) -> tuple[Simulation, list[bytes]]:
+    """A translator that has taken part of one step, with a gap left open, and the
+    step's datagrams."""
+    s = Simulation(Topology(reporters=2), Workload(kind, reports=40, reports_per_step=8), seed)
+    sent = [raw for rep in s.reporters for raw in rep.emit(wire.make_flags(essential=True))]
+    for raw in sent[:3] + sent[4:6]:
+        s.translator.receive(raw)
+    return s, sent
+
+
+def _damaged(raw: bytes) -> st.SearchStrategy:
+    """``raw`` cut short or with one bit flipped, or random octets in its place."""
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.integers(0, 8 * len(raw) - 1).map(
+            lambda bit: raw[:bit // 8] + bytes([raw[bit // 8] ^ 1 << bit % 8]) + raw[bit // 8 + 1:]),
+        st.binary(max_size=80))
+
+
+def _decodes(raw: bytes) -> bool:
+    try:
+        wire.decode(raw)
+    except wire.WireError:
+        return False
+    return True
+
+
+def test_a_truncated_report_is_counted_malformed_and_changes_nothing_else():
+    s, sent = _mid_run(WorkloadKind.KW_FLOWS, seed=2)
+    assert len(sent[6]) == 30
+    before = _translator_state(s)
+    s.translator.receive(sent[6][:27])  # decode: "length: declares 30 octets, got 27"
+    assert s.report.malformed == 1
+    s.report.malformed = 0
+    assert _translator_state(s) == before
+
+
+@pytest.mark.parametrize("kind", list(WorkloadKind), ids=lambda k: k.value)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_translator_survives_any_datagram(kind, data):
+    """A datagram that fails to decode is counted in ``malformed`` and changes no other
+    state; one that still decodes is taken as the report or control it reads as."""
+    s, sent = _mid_run(kind, data.draw(st.integers(0, 2**16), label="seed"))
+    raw = data.draw(st.sampled_from(sent).flatmap(_damaged), label="raw")
+    before = _translator_state(s)
+    s.translator.receive(raw)
+    if _decodes(raw):
+        assert s.report.malformed == 0
+    else:
+        assert s.report.malformed == 1
+        s.report.malformed = 0
+        assert _translator_state(s) == before
+
+
 def test_reporters_past_the_cap_are_refused_before_anything_is_built():
     """Each reporter costs about 2 KB at build, so their number has a ceiling."""
     cap = sim.MAX_REPORTERS
@@ -610,7 +692,7 @@ def test_config_roundtrip_build():
 
 # Counters every loss-free, fault-free run shares; each pinned case below
 # gives the fields its run changes.
-_CLEAN = dict(packets_lost=0, retransmissions=0, nacks_sent=0, nacks_lost=0,
+_CLEAN = dict(packets_lost=0, malformed=0, retransmissions=0, nacks_sent=0, nacks_lost=0,
               duplicates_suppressed=0, congestion_signals=0, diverted=0,
               dropped_low_priority=0, unrecoverable=0, verbs_faulted=0, qp_desyncs=0,
               reports_refused=0, drained=True, exactly_once_ok=True)
