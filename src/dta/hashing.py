@@ -93,6 +93,13 @@ class HashFamily:
                 digest_size=8, key=self._key(domain, index))
         return state
 
+    def _block(self, domain: int, k: int) -> blake2b:
+        """Keyed state of block k of ``domain`` before any data; never updated."""
+        state = self._blocks.get((domain, k))
+        if state is None:
+            state = self._blocks[domain, k] = blake2b(digest_size=64, key=self._key(domain, k))
+        return state
+
     def raw64(self, domain: int, index: int, data: bytes) -> int:
         try:
             h = self._states[domain, index].copy()
@@ -108,12 +115,16 @@ class HashFamily:
         digest keyed by (seed_base, domain, k); a block is computed only when
         ``count`` reaches it, so a shorter count gives a prefix of a longer one.
         """
-        blocks, out = self._blocks, []
+        if 0 < count <= 8:  # one block, as every Postcarding call at B + N <= 8 asks for
+            try:
+                h = self._blocks[domain, 0].copy()
+            except KeyError:
+                h = self._block(domain, 0).copy()
+            h.update(data)
+            return list(_DIGEST512.unpack(h.digest())[:count])
+        out = []
         for k in range(-(-count // 8)):
-            state = blocks.get((domain, k))
-            if state is None:  # kept unused: each call updates a copy
-                state = blocks[domain, k] = blake2b(digest_size=64, key=self._key(domain, k))
-            h = state.copy()
+            h = self._block(domain, k).copy()
             h.update(data)
             out += _DIGEST512.unpack(h.digest())
         del out[count:]

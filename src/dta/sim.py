@@ -192,7 +192,7 @@ class RunReport:
     reports_offered: int = 0
     packets_sent: int = 0  # includes retransmissions and keepalives
     packets_lost: int = 0
-    malformed: int = 0  # delivered datagrams that failed to decode, then ignored
+    malformed: int = 0  # delivered datagrams that do not decode or name no reporter: ignored
     reports_applied: int = 0
     reports_refused: int = 0  # delivered in order, refused by its store
     retransmissions: int = 0
@@ -308,6 +308,9 @@ class Translator:
             packet = wire.decode(raw)
         except wire.WireError:
             self.report.malformed += 1  # changes no other state
+            return
+        if packet.reporter_id >= self.topology.reporters:
+            self.report.malformed += 1  # no such reporter: no sequence or audit to touch
             return
         if type(packet) is not wire.DtaPacket:
             if type(packet) is wire.SeqResetPacket:

@@ -193,6 +193,42 @@ def test_engine_counters_are_pinned(run, expected):
     assert (stats.trials, stats.correct, stats.empty, stats.ambiguous, stats.wrong) == expected
 
 
+def _pc_monte_carlo_recomputing(chunks, hops, cell_bits, value_bits, redundancy, alpha,
+                                queries, seed):
+    """``pc_monte_carlo`` with an oracle that recomputes each written path from
+    ``pc_stream_values`` instead of keeping it."""
+    t = sim.Topology(pc=sim.PcConfig(chunks, hops, cell_bits, value_bits), hash_seed=seed)
+    (store, _), collector = sim.build_alone(sim.WorkloadKind.POSTCARDS, t)
+    family, codec, universe = store.family, store.codec, 2 ** value_bits
+
+    def write(flow):
+        cells = tuple(experiments.pc_stream_values(family, flow, hops, universe))
+        collector.apply(pc_write(store, EmittedChunk(flow, cells, EmissionReason.COMPLETE),
+                                 redundancy))
+
+    def canonical(flow):
+        return tuple(codec.decode(codec.encode(v))
+                     for v in experiments.pc_stream_values(family, flow, hops, universe))
+
+    return experiments.exact_age(write, lambda flow: pc_query(store, flow, redundancy),
+                                 canonical, round(alpha * chunks), queries)
+
+
+@pytest.mark.parametrize("args", [
+    (64, 5, 8, 6, 2, 0.0, 300, 3),     # age 0: a ring of one entry
+    (8, 5, 8, 6, 2, 0.25, 400, 4),     # age 2
+    (4, 5, 6, 6, 1, 0.75, 400, 5),     # age 3
+    (64, 5, 6, 6, 2, 1.5, 400, 6),     # alpha >= 1: age 96
+    (128, 7, 8, 6, 2, 0.5, 400, 7),    # B + N = 9: two digest blocks per flow
+    (32, 3, 6, 5, 1, 1.0, 400, 8),     # B = 3, N = 1
+], ids=["age0", "age2", "age3", "alpha1.5", "hops7-n2", "hops3-n1"])
+def test_pc_oracle_ring_matches_recomputed_paths(args):
+    """The engine keeps each written path in a ring of age + 1 entries; a path still has
+    its entry when it is checked, so the counts equal those of an oracle that hashes it
+    again."""
+    assert pc_monte_carlo(*args) == _pc_monte_carlo_recomputing(*args)
+
+
 def _kw_answers():
     """Key-Write answers for a key written once, one never written, and one whose copies
     disagree; and the value written."""

@@ -573,12 +573,12 @@ def _damaged(raw: bytes) -> st.SearchStrategy:
         st.binary(max_size=80))
 
 
-def _decodes(raw: bytes) -> bool:
+def _names_a_reporter(raw: bytes, reporters: int) -> bool:
+    """Whether ``raw`` decodes to a packet whose reporter is one of ``reporters``."""
     try:
-        wire.decode(raw)
+        return wire.decode(raw).reporter_id < reporters
     except wire.WireError:
         return False
-    return True
 
 
 def test_a_truncated_report_is_counted_malformed_and_changes_nothing_else():
@@ -595,18 +595,40 @@ def test_a_truncated_report_is_counted_malformed_and_changes_nothing_else():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_the_translator_survives_any_datagram(kind, data):
-    """A datagram that fails to decode is counted in ``malformed`` and changes no other
-    state; one that still decodes is taken as the report or control it reads as."""
+    """A datagram that fails to decode, or names no reporter of the topology, is counted
+    in ``malformed`` and changes no other state; any other is taken as the report or
+    control it reads as."""
     s, sent = _mid_run(kind, data.draw(st.integers(0, 2**16), label="seed"))
     raw = data.draw(st.sampled_from(sent).flatmap(_damaged), label="raw")
     before = _translator_state(s)
     s.translator.receive(raw)
-    if _decodes(raw):
+    if _names_a_reporter(raw, s.topology.reporters):
         assert s.report.malformed == 0
     else:
         assert s.report.malformed == 1
         s.report.malformed = 0
         assert _translator_state(s) == before
+
+
+_KW_BODY = wire.KeyWriteBody(2, b"k" * 8, b"v" * 4)
+
+
+@pytest.mark.parametrize("packet", [
+    wire.DtaPacket(_KW_BODY, 5, 1, wire.make_flags(essential=True)),
+    wire.DtaPacket(_KW_BODY, 5, 3, wire.make_flags(essential=True)),
+    wire.SeqResetPacket(2, 9),
+], ids=["report-in-order", "report-out-of-order", "seq-reset"])
+def test_a_packet_from_no_reporter_of_the_topology_is_counted_malformed(packet):
+    """A packet naming a reporter the topology lacks decodes, but no reporter sent it.
+    In order, such a report was once applied and entered the exactly-once audit; out of
+    order, its NACK made ``_deliver`` raise ``IndexError``."""
+    s = Simulation(Topology(reporters=2), Workload(WorkloadKind.KW_FLOWS, reports=40), seed=1)
+    before = _translator_state(s)
+    s._deliver([wire.encode(packet)])
+    assert s.report.malformed == 1
+    s.report.malformed = 0
+    assert _translator_state(s) == before
+    assert s.run().exactly_once_ok
 
 
 def test_reporters_past_the_cap_are_refused_before_anything_is_built():
