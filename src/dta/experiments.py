@@ -151,6 +151,8 @@ def tally(indexes: Iterable[int], query: Callable, expected: Callable) -> McStat
 def exact_age(write: Callable, query: Callable, expected: Callable, age: int,
               queries: int) -> McStats:
     """Tally ``queries`` keys, each queried exactly ``age`` writes after its own."""
+    if age < 0:
+        raise ValueError(f"age must be >= 0, got {age}")
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
     for i in range(age):
@@ -192,13 +194,17 @@ def _kw_store(buflen: int, checksum_bits: int, value_len: int, seed: int) -> KwS
     return sim.build_alone(sim.WorkloadKind.KW_FLOWS, t)[0]
 
 
-def _kw_writer(store: KwStore, redundancy: int, seed: int) -> Callable[[int], None]:
-    """Writes the key at a stream position, through one collector."""
-    collector = sim.Collector(store.region)
+def _kw_writer(store: KwStore, redundancy: int, seed: int,
+               ring: list) -> Callable[[int], None]:
+    """Writes the key at a stream position, through one collector, and keeps the
+    key and its value at ``i % len(ring)`` of ``ring``."""
+    collector, value_len, size = sim.Collector(store.region), store.value_len, len(ring)
 
     def write(i: int) -> None:
         key = stream_key(seed, i)
-        collector.apply(kw_write(store, key, stream_value(key, store.value_len), redundancy))
+        value = stream_value(key, value_len)
+        ring[i % size] = key, value
+        collector.apply(kw_write(store, key, value, redundancy))
 
     return write
 
@@ -226,16 +232,29 @@ def kw_monte_carlo(
     seed: int,
     policy: QueryPolicy = QueryPolicy.SINGLE_VALUE,
 ) -> McStats:
-    """Empirical query outcomes at exact write-distance alpha*buflen."""
+    """Empirical query outcomes at exact write-distance alpha*buflen.
+
+    The writer keeps each written key and value in a ring of ``age + 1``
+    entries, key i at ``i % (age + 1)``, so the query and the oracle read them
+    instead of deriving them again: ``exact_age`` queries key i right after
+    writing key i + age, and the age writes in between fill the other entries.
+    """
     store = _kw_store(buflen, checksum_bits, value_len, seed)
-    return exact_age(_kw_writer(store, redundancy, seed),
-                     *_kw_probes(store, redundancy, seed, policy),
-                     round(alpha * buflen), queries)
+    age = round(alpha * buflen)
+    ring, size = [None] * (age + 1), age + 1
+
+    def query(i: int) -> QueryResult:
+        return kw_query(store, ring[i % size][0], redundancy, policy=policy)
+
+    def expected(i: int) -> bytes:
+        return ring[i % size][1]
+
+    return exact_age(_kw_writer(store, redundancy, seed, ring), query, expected, age, queries)
 
 
 def kw_write_stream(store: KwStore, n_redundancy: int, n_keys: int, seed: int) -> None:
     """Write the deterministic key stream 0..n_keys-1 through verbs."""
-    write = _kw_writer(store, n_redundancy, seed)
+    write = _kw_writer(store, n_redundancy, seed, [None])  # keeps only the last key
     for i in range(n_keys):
         write(i)
 

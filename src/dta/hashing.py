@@ -61,7 +61,7 @@ class _BlankType:
 
 
 BLANK = _BlankType()
-_KW_CSUM, _CACHE_SLOT = int(Domain.KW_CSUM), int(Domain.CACHE_SLOT)  # per report: no enum lookup
+_CACHE_SLOT = int(Domain.CACHE_SLOT)  # per report: no enum lookup
 
 
 class HashFamily:
@@ -76,7 +76,7 @@ class HashFamily:
 
     def __init__(self, seed_base: int = 0):
         self.seed_base = seed_base & _MASK64
-        self._states: dict[tuple[int, int], blake2b] = {}
+        self._states: dict[int, dict[int, blake2b]] = {}  # domain -> index -> state
         self._blocks: dict[tuple[int, int], blake2b] = {}
 
     def __repr__(self) -> str:
@@ -87,10 +87,10 @@ class HashFamily:
 
     def _state(self, domain: int, index: int) -> blake2b:
         """Keyed state of member (domain, index) before any data; never updated."""
-        state = self._states.get((domain, index))
+        members = self._states.setdefault(domain, {})
+        state = members.get(index)
         if state is None:
-            state = self._states[domain, index] = blake2b(
-                digest_size=8, key=self._key(domain, index))
+            state = members[index] = blake2b(digest_size=8, key=self._key(domain, index))
         return state
 
     def _block(self, domain: int, k: int) -> blake2b:
@@ -102,8 +102,8 @@ class HashFamily:
 
     def raw64(self, domain: int, index: int, data: bytes) -> int:
         try:
-            h = self._states[domain, index].copy()
-        except KeyError:
+            h = self._states[domain][index].copy()
+        except KeyError:  # a new member, or a negative index, which _key refuses
             h = self._state(domain, index).copy()
         h.update(data)
         return _DIGEST64.unpack(h.digest())[0]
@@ -130,11 +130,6 @@ class HashFamily:
         del out[count:]
         return out
 
-    def key_checksum(self, key: bytes, bits: int) -> int:
-        """``bits``-wide checksum of a telemetry key (verifies query hits)."""
-        _check_bits(bits)
-        return self.raw64(_KW_CSUM, 0, key) >> (64 - bits)
-
     def cache_slot(self, flow_key: bytes, slots: int) -> int:
         """Translator cache row for a flow's pending postcards."""
         return self.raw64(_CACHE_SLOT, 0, flow_key) % slots
@@ -150,8 +145,9 @@ class ValueCodec:
 
     The universe is the integer range [0, universe_size); BLANK is a reserved
     symbol outside it.  Each value's code is hashed once, into ``_codes``, an
-    ``array('Q')`` indexed by value that ``encode`` reads.  ``decode`` reads
-    ``_index``, an open-addressing ``array('I')`` of a power of two slots, at
+    ``array('Q')`` indexed by value that ``encode`` reads (and so does
+    ``postcarding.pc_write``, applying ``encode``'s rule itself).  ``decode``
+    reads ``_index``, an open-addressing ``array('I')`` of a power of two slots, at
     least twice ``universe_size``, slot i holding value + 1 or 0 when empty: a
     code's home slot is its Fibonacci hash, probing is linear, and a slot
     matches when ``_codes`` of its value is the code.  Values go in ascending

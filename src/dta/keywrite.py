@@ -14,10 +14,12 @@ policies:
   ``analysis`` describes, so the Monte-Carlo suites run under it.
 
 Writes are produced by the translator (single writer); queries never mutate.
-A store's geometry (checksum and slot widths) is fixed when it is built,
-which also checks that every slot lies inside the region, so a query reads
-its slots straight from the region's memory and compares checksums as
-octets.
+A store's geometry (checksum and slot widths, and the shift that takes a
+key's checksum from the top of its ``KW_CSUM`` member) is fixed when it is
+built, which also checks that every slot lies inside the region, so a query
+reads its slots straight from the region's memory and compares checksums as
+octets.  A write or a query hashes 1 + N times: the checksum, then one slot
+per copy.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class QueryPolicy(Enum):
 
 
 # read per call, so kept out of their enums: an enum member costs a lookup per read
-_KW_SLOT, _SINGLE_VALUE, _VALUE = int(Domain.KW_SLOT), QueryPolicy.SINGLE_VALUE, Outcome.VALUE
+_KW_SLOT, _KW_CSUM = int(Domain.KW_SLOT), int(Domain.KW_CSUM)
+_SINGLE_VALUE, _VALUE = QueryPolicy.SINGLE_VALUE, Outcome.VALUE
 
 
 @dataclass
@@ -43,8 +46,10 @@ class KwStore:
     """Geometry and hash configuration of one key-value region.
 
     One store holds one fixed value width; telemetry with a different payload
-    size belongs in a separate store.  ``csum_len`` and ``slot_len`` are fixed
-    here, together with the check that every slot lies inside the region.
+    size belongs in a separate store.  ``csum_len``, ``slot_len`` and
+    ``csum_shift`` (a key's checksum is its ``KW_CSUM`` member shifted right by
+    it) are fixed here, together with the check that every slot lies inside
+    the region.
     """
 
     region: MemoryRegion
@@ -62,6 +67,7 @@ class KwStore:
         if self.value_len < 1:
             raise ValueError(f"value_len must be >= 1, got {self.value_len}")
         self.csum_len = (self.checksum_bits + 7) // 8
+        self.csum_shift = 64 - self.checksum_bits
         self.slot_len = self.csum_len + self.value_len
         if self.base < 0 or self.base + self.buflen * self.slot_len > self.region.size:
             raise ValueError(
@@ -81,11 +87,13 @@ def kw_write(store: KwStore, key: bytes, data: bytes, n_redundancy: int) -> list
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(data) != store.value_len:
         raise ValueError(f"expected {store.value_len}B value, got {len(data)}B")
-    family, base, buflen, slot_len = store.family, store.base, store.buflen, store.slot_len
-    payload = family.key_checksum(key, store.checksum_bits).to_bytes(store.csum_len, "little")
+    raw64, base, buflen, slot_len = store.family.raw64, store.base, store.buflen, store.slot_len
+    payload = (raw64(_KW_CSUM, 0, key) >> store.csum_shift).to_bytes(store.csum_len, "little")
     payload += data
-    return [Write(base + family.raw64(_KW_SLOT, n, key) % buflen * slot_len, payload)
-            for n in range(n_redundancy)]
+    writes = []
+    for n in range(n_redundancy):
+        writes.append(Write(base + raw64(_KW_SLOT, n, key) % buflen * slot_len, payload))
+    return writes
 
 
 def kw_query(
@@ -103,21 +111,23 @@ def kw_query(
     """
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
-    family, base, buflen, slot_len = store.family, store.base, store.buflen, store.slot_len
+    raw64, base, buflen, slot_len = store.family.raw64, store.base, store.buflen, store.slot_len
     csum_len, buf = store.csum_len, store.region._buf
-    want = family.key_checksum(key, store.checksum_bits).to_bytes(csum_len, "little")
+    want = (raw64(_KW_CSUM, 0, key) >> store.csum_shift).to_bytes(csum_len, "little")
     values = []  # the value of every slot whose checksum matches, as a bytearray
     for n in range(n_redundancy):
-        at = base + family.raw64(_KW_SLOT, n, key) % buflen * slot_len
+        at = base + raw64(_KW_SLOT, n, key) % buflen * slot_len
         if buf.startswith(want, at):
             values.append(buf[at + csum_len:at + slot_len])
     if not values:
         return EMPTY
 
     if policy is _SINGLE_VALUE:
-        if values.count(values[0]) == len(values):
-            return QueryResult(_VALUE, bytes(values[0]))
-        return AMBIGUOUS
+        first = values[0]
+        for value in values:
+            if value != first:
+                return AMBIGUOUS
+        return QueryResult(_VALUE, bytes(first))
 
     counts: dict[bytes, int] = {}
     for value in map(bytes, values):

@@ -214,10 +214,18 @@ def pc_write(store: PostcardStore, chunk: EmittedChunk, n_redundancy: int) -> li
     if len(chunk.cells) != store.hops:
         raise ValueError(f"chunk must carry exactly {store.hops} cells")
     checksums, addresses = _flow_layout(store, chunk.flow_id, n_redundancy)
-    encode, width = store.codec.encode, store.cell_width
+    codec, width = store.codec, store.cell_width
+    # ValueCodec.encode's rule and table, read here: a method call per cell costs more
+    codes, blank, universe = codec._codes, codec._blank_code, codec.universe_size
     word = at = 0
     for checksum, value in zip(checksums, chunk.cells):
-        word |= (checksum ^ encode(BLANK if value is None else value)) << at
+        if isinstance(value, int) and 0 <= value < universe:
+            code = codes[value]
+        elif value is None or value is BLANK:
+            code = blank
+        else:
+            raise ValueError(f"{value!r} not in [0, {universe}) or BLANK")
+        word |= (checksum ^ code) << at
         at += width
     payload = word.to_bytes(store.chunk_stride, "little")  # zero-pads the chunk
     writes = []

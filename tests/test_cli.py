@@ -93,6 +93,17 @@ def test_suite_unknown_name_and_param(capsys):
         assert captured.err.splitlines() == [f"error: {param} must be >= 1, got 0"]
 
 
+@pytest.mark.parametrize("suite, age", [("kw-redundancy", -32768),
+                                        ("postcarding-accuracy", -8192)])
+def test_suite_refuses_a_negative_load_factor(capsys, suite, age):
+    """A negative alpha is a negative write-distance: one error line, where it used to
+    end in a struct.error or OverflowError traceback."""
+    assert run_cli("suite", suite, "--set", "alphas=[-0.5]") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: age must be >= 0, got {age}"]
+
+
 def test_run_and_diff_and_dump(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

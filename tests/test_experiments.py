@@ -229,6 +229,43 @@ def test_pc_oracle_ring_matches_recomputed_paths(args):
     assert pc_monte_carlo(*args) == _pc_monte_carlo_recomputing(*args)
 
 
+def _kw_monte_carlo_recomputing(buflen, checksum_bits, value_len, redundancy, alpha, queries,
+                                seed, policy):
+    """``kw_monte_carlo`` with a query and an oracle that derive each key and value from
+    its stream position again instead of reading them from the writer's ring."""
+    store = experiments._kw_store(buflen, checksum_bits, value_len, seed)
+    return experiments.exact_age(experiments._kw_writer(store, redundancy, seed, [None]),
+                                 *experiments._kw_probes(store, redundancy, seed, policy),
+                                 round(alpha * buflen), queries)
+
+
+@pytest.mark.parametrize("args", [
+    (64, 32, 4, 2, 0.0, 300, 3),      # age 0: a ring of one entry
+    (8, 8, 4, 2, 0.25, 400, 4),       # age 2
+    (4, 4, 4, 1, 0.75, 400, 5),       # age 3
+    (64, 4, 4, 3, 1.5, 400, 6),       # alpha >= 1: age 96
+    (1024, 4, 4, 2, 1.0, 2000, 7),    # the pinned counts' settings: every outcome occurs
+    (256, 16, 8, 4, 0.5, 400, 8),     # N = 4, 8-octet values
+], ids=["age0", "age2", "age3", "alpha1.5", "pinned", "n4"])
+@pytest.mark.parametrize("policy", list(QueryPolicy), ids=lambda p: p.value)
+def test_kw_oracle_ring_matches_recomputed_keys(args, policy):
+    """The writer keeps each written key and value in a ring of age + 1 entries; a key
+    still has its entry when it is queried, so the counts equal those of a query and an
+    oracle that derive it again."""
+    assert (kw_monte_carlo(*args, policy=policy)
+            == _kw_monte_carlo_recomputing(*args, policy=policy))
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: kw_monte_carlo(64, 32, 4, 2, -0.5, 10, 1),
+    lambda: pc_monte_carlo(64, 5, 8, 6, 2, -0.5, 10, 1),
+    lambda: experiments.exact_age(pytest.fail, pytest.fail, pytest.fail, -1, 10),
+], ids=["kw", "pc", "exact_age"])
+def test_negative_age_is_refused_before_any_write(engine):
+    with pytest.raises(ValueError, match=r"^age must be >= 0, got -(32|1)$"):
+        engine()
+
+
 def _kw_answers():
     """Key-Write answers for a key written once, one never written, and one whose copies
     disagree; and the value written."""

@@ -26,6 +26,11 @@ def reference_raw64(seed: int, domain: int, index: int, data: bytes) -> int:
     return int.from_bytes(blake2b(data, digest_size=8, key=key).digest(), "big")
 
 
+def key_checksum(family: HashFamily, key: bytes, bits: int) -> int:
+    """Key-Write's ``bits``-wide key checksum: the top bits of member (KW_CSUM, 0)."""
+    return family.raw64(Domain.KW_CSUM, 0, key) >> (64 - bits)
+
+
 def reference_codec_table(family: HashFamily, universe_size: int, bits: int):
     """The codec's table built one value at a time: (table, collisions)."""
     def code(data: bytes) -> int:
@@ -121,16 +126,16 @@ def test_slot_hash_buflen_one_always_zero():
 
 def test_same_inputs_same_checksum_across_instances():
     other = HashFamily(seed_base=0x5EED)
-    assert FAM.key_checksum(b"flow", 32) == other.key_checksum(b"flow", 32)
+    assert key_checksum(FAM, b"flow", 32) == key_checksum(other, b"flow", 32)
 
 
 @given(st.binary(max_size=32), st.integers(1, 64))
 def test_checksum_top_bits_zero(key, bits):
-    assert FAM.key_checksum(key, bits) < (1 << bits)
+    assert key_checksum(FAM, key, bits) < (1 << bits)
 
 
 def test_checksum_one_bit():
-    values = {FAM.key_checksum(str(i).encode(), 1) for i in range(64)}
+    values = {key_checksum(FAM, str(i).encode(), 1) for i in range(64)}
     assert values == {0, 1}
 
 
@@ -164,8 +169,8 @@ def test_checksum_collision_rate_16bit():
     pairs = 1_000_000
     collisions = 0
     for i in range(pairs):
-        a = FAM.key_checksum((2 * i).to_bytes(8, "big"), 16)
-        b = FAM.key_checksum((2 * i + 1).to_bytes(8, "big"), 16)
+        a = key_checksum(FAM, (2 * i).to_bytes(8, "big"), 16)
+        b = key_checksum(FAM, (2 * i + 1).to_bytes(8, "big"), 16)
         collisions += a == b
     expected = pairs * 2 ** -16
     assert abs(collisions - expected) <= 3 * expected ** 0.5 + 1
@@ -177,10 +182,25 @@ def test_hop_checksums_differ_by_hop():
     assert len(seen) == 5
 
 
+def test_raw64_refuses_a_negative_index():
+    """Member (domain, -1) does not exist, also once member (domain, 0) has been used."""
+    family = HashFamily(7)
+    for domain in (Domain.KW_SLOT, Domain.CACHE_SLOT):
+        with pytest.raises(struct.error):
+            family.raw64(domain, -1, b"x")
+        assert family.raw64(domain, 0, b"x") == reference_raw64(7, domain, 0, b"x")
+        with pytest.raises(struct.error):
+            family.raw64(domain, -1, b"x")
+
+
 @pytest.mark.parametrize("bad_bits", [0, 65, -1])
 def test_bit_width_validation(bad_bits):
-    with pytest.raises(ValueError):
-        FAM.key_checksum(b"x", bad_bits)
+    """A key checksum's and a value code's width is checked once, when the store or the
+    codec is built."""
+    with pytest.raises(ValueError, match="checksum_bits"):
+        KwStore(MemoryRegion(1 << 12), 64, bad_bits, 4, family=FAM)
+    with pytest.raises(ValueError, match="bit width"):
+        ValueCodec(FAM, 16, bad_bits)
 
 
 class TestValueCodec:

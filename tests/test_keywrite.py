@@ -23,6 +23,7 @@ from dta.memstore import (
     Write,
     apply_verb,
 )
+from test_hashing import key_checksum
 
 
 def make_store(buflen=64, bits=32, value_len=4, seed=1):
@@ -71,7 +72,7 @@ def ref_kw_write(store, key, data, n_redundancy):
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
     if len(data) != store.value_len:
         raise ValueError(f"expected {store.value_len}B value, got {len(data)}B")
-    csum = store.family.key_checksum(key, store.checksum_bits)
+    csum = key_checksum(store.family, key, store.checksum_bits)
     payload = csum.to_bytes(ref_csum_len(store), "little") + data
     return [Write(ref_slot_address(store, ref_slot(store.family, n, key, store.buflen)), payload)
             for n in range(n_redundancy)]
@@ -80,7 +81,7 @@ def ref_kw_write(store, key, data, n_redundancy):
 def ref_kw_query(store, key, n_redundancy, threshold=1, policy=QueryPolicy.PLURALITY):
     if not 1 <= n_redundancy <= MAX_REDUNDANCY:
         raise ValueError(f"redundancy must be in [1, {MAX_REDUNDANCY}], got {n_redundancy}")
-    want = store.family.key_checksum(key, store.checksum_bits)
+    want = key_checksum(store.family, key, store.checksum_bits)
     counts = {}
     for n in range(n_redundancy):
         csum, value = ref_read_slot(store, ref_slot(store.family, n, key, store.buflen))
@@ -147,7 +148,7 @@ def kw_against_reference(rng, checksum_bits, value_len, buflen, base, seed, ops=
             verbs = kw_write(store, key, data, n)
             assert verbs == ref_kw_write(store, key, data, n)
         elif op < 0.55:
-            csum = store.family.key_checksum(key, checksum_bits)
+            csum = key_checksum(store.family, key, checksum_bits)
             payload = csum.to_bytes(csum_len, "little") + rng.choice(values)
             verbs = [Write(base + rng.randrange(buflen) * slot_len, payload)]
         else:
@@ -220,7 +221,7 @@ def test_buflen_one_collapses_to_slot_zero():
     assert all(v.address == store.base for v in verbs)
     run_writes(store, verbs)
     csum, value = ref_read_slot(store, 0)
-    assert csum == store.family.key_checksum(b"key", 32)
+    assert csum == key_checksum(store.family, b"key", 32)
     assert value == b"\x01\x02\x03\x04"
 
 
@@ -244,7 +245,7 @@ def test_write_log_replay_oracle():
     expected = bytearray(store.region.size)
     for key, data in log:  # last write to each slot wins
         slot = ref_slot(store.family, 0, key, store.buflen)
-        csum = store.family.key_checksum(key, store.checksum_bits)
+        csum = key_checksum(store.family, key, store.checksum_bits)
         start = slot * store.slot_len
         expected[start:start + store.slot_len] = csum.to_bytes(4, "little") + data
     assert store.region.snapshot() == bytes(expected)
@@ -273,7 +274,7 @@ def test_query_survives_one_overwrite():
     run_writes(store, kw_write(store, b"key", b"data", 2))
     # clobber exactly one of the two slots with a non-colliding checksum
     slot = ref_slot(store.family, 0, b"key", store.buflen)
-    bad_csum = store.family.key_checksum(b"key", 32) ^ 1
+    bad_csum = key_checksum(store.family, b"key", 32) ^ 1
     clobber = bad_csum.to_bytes(4, "little") + b"junk"
     qp = QueuePair()
     apply_verb(store.region, qp, 0, Write(ref_slot_address(store, slot), clobber))
@@ -295,7 +296,7 @@ def test_plurality_tie_is_ambiguous():
     # different values: write key, then overwrite slot 1 in place
     run_writes(store, kw_write(store, b"key", b"aaaa", 2))
     slot1 = ref_slot(store.family, 1, b"key", store.buflen)
-    csum = store.family.key_checksum(b"key", 32)
+    csum = key_checksum(store.family, b"key", 32)
     qp = QueuePair()
     apply_verb(store.region, qp, 0,
                Write(ref_slot_address(store, slot1), csum.to_bytes(4, "little") + b"bbbb"))
@@ -322,6 +323,29 @@ def test_query_with_assumed_maximum_redundancy():
     res = kw_query(store, b"key", 4)  # reader assumes the maximum
     assert res.outcome is Outcome.VALUE
     assert res.value == b"data"
+
+
+@pytest.mark.parametrize("n", range(1, MAX_REDUNDANCY + 1))
+def test_write_and_query_hash_once_per_checksum_and_copy(monkeypatch, n):
+    """A write and a query each take 1 + N ``raw64`` members: the key checksum, then one
+    slot per copy.  Per-call hash counts in traced benchmark runs rest on this."""
+    calls = []
+    raw64 = HashFamily.raw64
+
+    def counted(self, domain, index, data):
+        calls.append((domain, index))
+        return raw64(self, domain, index, data)
+
+    monkeypatch.setattr(HashFamily, "raw64", counted)
+    store = make_store(buflen=256)
+    members = [(Domain.KW_CSUM, 0)] + [(Domain.KW_SLOT, i) for i in range(n)]
+    kw_write(store, b"key", b"data", n)
+    assert calls == members
+    calls.clear()
+    for policy in QueryPolicy:
+        kw_query(store, b"key", n, policy=policy)
+        assert calls == members
+        calls.clear()
 
 
 def test_value_length_enforced():

@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 from collections import Counter
 from hashlib import blake2b
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dta import postcarding
 from dta.hashing import BLANK, Domain, HashFamily, ValueCodec
 from dta.memstore import MemoryRegion, Outcome, QueryResult, QueuePair, Write, apply_verb
 from dta.postcarding import (
@@ -202,6 +204,23 @@ def test_write_then_query_roundtrip():
     res = pc_query(store, 99, 2)
     assert res.outcome is Outcome.VALUE
     assert res.value == (3, 1, 4)
+
+
+def test_write_refuses_a_bad_cell_before_building_a_verb(monkeypatch):
+    """``pc_write`` applies ``ValueCodec.encode``'s rule to each cell: an int in
+    [0, universe) or None (BLANK, also accepted as itself); anything else is refused
+    before a verb exists."""
+    store = make_store()
+    built = []
+    monkeypatch.setattr(postcarding, "Write", lambda *args: built.append(args))
+    for bad in (-1, 2 ** 10, 1.0, "3"):
+        chunk = EmittedChunk(99, (3, bad, None, None, None), EmissionReason.COMPLETE)
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} not in \[0, 1024\) or BLANK$"):
+            pc_write(store, chunk, 2)
+    assert built == []
+    monkeypatch.undo()
+    blank = EmittedChunk(99, (3, 1, BLANK, None, None), EmissionReason.COMPLETE)
+    assert pc_write(store, blank, 2) == ref_pc_write(store, blank, 2)
 
 
 def test_query_reads_across_redundancies():
