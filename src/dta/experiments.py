@@ -361,7 +361,9 @@ def pc_monte_carlo(
     The oracle keeps each written flow's cells in a ring of ``age + 1`` entries,
     flow i at ``i % (age + 1)``, instead of hashing them again: ``exact_age``
     checks flow i right after writing flow i + age, and the age writes in
-    between fill the other entries, so flow i's is still there.
+    between fill the other entries, so flow i's is still there.  It passes
+    them to ``ValueCodec.canonical``, which re-decodes only a path holding a
+    value the codec's build flagged as not decoding to itself.
     """
     t = sim.Topology(pc=sim.PcConfig(chunks, hops, cell_bits, value_bits), hash_seed=seed)
     (store, _), collector = sim.build_alone(sim.WorkloadKind.POSTCARDS, t)
@@ -378,7 +380,7 @@ def pc_monte_carlo(
         return pc_query(store, flow, redundancy)
 
     def canonical(flow: int) -> tuple:
-        return tuple(map(codec.decode, map(codec.encode, ring[flow % size])))
+        return codec.canonical(ring[flow % size])
 
     return exact_age(write, query, canonical, age, queries)
 

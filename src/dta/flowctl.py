@@ -193,12 +193,9 @@ class TranslatorFlowState:
         self._nacked.clear()
         self._signalled.clear()
 
-    def expected_seq(self, reporter_id: int) -> int:
-        return (self.last_applied.get(reporter_id, 0) + 1) & _SEQ_MASK
-
-    def _nack(self, reporter_id: int) -> bool:
-        """Queue a NACK for the reporter's gap unless one went this step; never apply."""
-        expected = self.expected_seq(reporter_id)
+    def _nack(self, reporter_id: int, expected: int) -> bool:
+        """Queue a NACK for the reporter's gap at ``expected`` unless one went this step;
+        never apply."""
         key = (reporter_id, expected)
         if key not in self._nacked:
             self._nacked.add(key)
@@ -227,20 +224,20 @@ class TranslatorFlowState:
         """
         essential = packet.flags & FLAG_ESSENTIAL
         reporter_id = packet.reporter_id
+        last = self.last_applied.get(reporter_id, 0)
+        expected = (last + 1) & _SEQ_MASK
         if essential:
             seq = packet.essential_seq
-            last = self.last_applied.get(reporter_id, 0)
-            if seq != (last + 1) & _SEQ_MASK:
+            if seq != expected:
                 # serial distance from the expected sequence: the upper half
                 # of the 32-bit space is behind it, the lower half ahead
-                if (seq - last - 1) & _SEQ_MASK >= _SEQ_HALF:
+                if (seq - expected) & _SEQ_MASK >= _SEQ_HALF:
                     self.duplicates_suppressed += 1
                     return False
-                return self._nack(reporter_id)
-        elif 0 < ((packet.essential_seq - self.last_applied.get(reporter_id, 0))
-                  & _SEQ_MASK) < _SEQ_HALF:
+                return self._nack(reporter_id, expected)
+        elif 0 < ((packet.essential_seq - last) & _SEQ_MASK) < _SEQ_HALF:
             # non-essential report reveals a gap in the essential substream
-            return self._nack(reporter_id)
+            return self._nack(reporter_id, expected)
         if verb_cost is None:  # a keepalive: a probe for gaps, never metered or applied
             return False
 

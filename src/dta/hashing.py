@@ -10,7 +10,9 @@ Key-Increment, key checksums, cache rows and value codes take one call per
 member.  ``members`` gives 8 members of one domain per 64-octet digest, block
 k keyed by (seed, domain, k): Postcarding takes a flow's B hop checksums,
 then its N chunk copies, from one such call.  ``ValueCodec`` maps values to
-b-bit codes by a table indexed by value, and codes back by a hashed index.
+b-bit codes by a table indexed by value, and codes back by a hashed index;
+its build also flags, one bit per value, the values that do not decode to
+themselves, so ``canonical`` re-decodes only a tuple that holds one.
 """
 
 from __future__ import annotations
@@ -153,9 +155,14 @@ class ValueCodec:
     matches when ``_codes`` of its value is the code.  Values go in ascending
     order, so a probe's first match is the least value with that code.  A code
     that values share (birthday bound ~ |V|^2 / 2^(b+1)) decodes to BLANK if
-    BLANK has it, else to the least value with it; ``collisions`` counts
-    ``universe_size + 1`` minus the number of distinct codes.  The tables, 16
-    octets per value at a power-of-two ``universe_size``, depend only on
+    BLANK has it, else to the least value with it.  The build flags each value
+    that so decodes to something other than itself, one bit per value in
+    ``_flags``, a ``bytearray`` whose bit v is bit ``v & 7`` of octet
+    ``v >> 3``: the values a lesser value's code already holds, and every value
+    on BLANK's code.  ``canonical`` reads them, so a tuple of unflagged values
+    is its own decode; ``collisions``, ``universe_size + 1`` minus the number of
+    distinct codes, is the number of flagged values.  The tables and flags,
+    16.125 octets per value at a power-of-two ``universe_size``, depend only on
     ``(family.seed_base, universe_size, bits)``; ``value_codec`` shares one
     codec per such configuration in a process.
     """
@@ -175,6 +182,7 @@ class ValueCodec:
         self._slot_mask = mask = (1 << slot_bits) - 1
         codes = self._codes = array("Q", [0]) * universe_size
         index = self._index = array("I", [0]) * (1 << slot_bits)
+        flags = self._flags = bytearray((universe_size + 7) >> 3)  # bit v: v decodes to another
         # Each value's hash input is the tag b"\x01" then the value, so every
         # digest continues one keyed state that has already absorbed the tag.
         prefix = family._state(Domain.PC_VALUE, 0).copy()
@@ -187,10 +195,19 @@ class ValueCodec:
             i = (code * _FIBONACCI & _MASK64) >> slot_shift
             while (w := index[i]) and codes[w - 1] != code:
                 i = (i + 1) & mask
-            if not w:  # else a lesser value holds this code already
+            if w:  # a lesser value holds this code already: v decodes to it
+                flags[v >> 3] |= 1 << (v & 7)
+            else:
                 index[i] = v + 1
-        repeats = universe_size - (len(index) - index.count(0))
-        self.collisions = repeats + (self._blank_code in codes)
+        # and every value on BLANK's code decodes to BLANK; found in place, never sliced
+        at, blank = -1, self._blank_code
+        try:
+            while True:
+                at = codes.index(blank, at + 1)
+                flags[at >> 3] |= 1 << (at & 7)
+        except ValueError:
+            pass
+        self.collisions = int.from_bytes(flags, "little").bit_count()
 
     def encode(self, v) -> int:
         """b-bit encoding of ``v`` (a universe member or BLANK)."""
@@ -209,6 +226,15 @@ class ValueCodec:
         while (w := index[i]) and codes[w - 1] != code:
             i = (i + 1) & mask
         return w - 1 if w else None
+
+    def canonical(self, values: tuple) -> tuple:
+        """What a query decodes the universe members ``values`` to: the tuple itself
+        unless one of them is flagged, else each value's ``decode(encode(v))``."""
+        flags = self._flags
+        for v in values:
+            if flags[v >> 3] >> (v & 7) & 1:
+                return tuple(map(self.decode, map(self.encode, values)))
+        return values
 
 
 @lru_cache(maxsize=4)

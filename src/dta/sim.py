@@ -44,12 +44,21 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _type_leaves(config, path: str) -> None:
+    """Refuse a leaf of ``config`` whose type is not its default's (``check_leaf``),
+    naming it by its full path, ``path`` being the config's own."""
+    for f in fields(config):
+        if f.default is not MISSING:
+            check_leaf(f"{path}.{f.name}", getattr(config, f.name), f.default)
+
+
 @dataclass
 class LinkConfig:
     loss_to_translator: float = 0.0
     loss_to_reporter: float = 0.0
 
     def __post_init__(self):
+        _type_leaves(self, "topology.link")
         for name in ("loss_to_translator", "loss_to_reporter"):
             if not 0.0 <= (p := getattr(self, name)) < 1.0:
                 raise ConfigError(f"topology.link.{name}",
@@ -63,6 +72,7 @@ class TranslatorConfig:
     fault_drop_verbs: float = 0.0  # translator->collector fault injection
 
     def __post_init__(self):
+        _type_leaves(self, "topology.translator")
         if not 0.0 <= self.fault_drop_verbs < 1.0:
             raise ConfigError("topology.translator.fault_drop_verbs",
                               f"must be in [0, 1), got {self.fault_drop_verbs}")
@@ -75,6 +85,9 @@ class KwConfig:
     value_len: int = 4
     redundancy: int = 2
 
+    def __post_init__(self):
+        _type_leaves(self, "topology.kw")
+
 
 @dataclass
 class PcConfig:
@@ -85,6 +98,9 @@ class PcConfig:
     redundancy: int = 2
     cache_slots: int = 1024
 
+    def __post_init__(self):
+        _type_leaves(self, "topology.pc")
+
 
 @dataclass
 class AppendConfig:
@@ -93,11 +109,17 @@ class AppendConfig:
     entry_len: int = 4
     batch_size: int = 4
 
+    def __post_init__(self):
+        _type_leaves(self, "topology.append")
+
 
 @dataclass
 class KiConfig:
     buflen: int = 4096
     redundancy: int = 2
+
+    def __post_init__(self):
+        _type_leaves(self, "topology.ki")
 
 
 @dataclass
@@ -106,6 +128,9 @@ class SketchConfig:
     cols: int = 16
     merge_op: str = "sum"
     w_batch: int = 4
+
+    def __post_init__(self):
+        _type_leaves(self, "topology.sketch")
 
 
 MAX_REPORTERS = 1 << 16
@@ -125,6 +150,7 @@ class Topology:
     hash_seed: int = 0
 
     def __post_init__(self):
+        _type_leaves(self, "topology")
         if not 1 <= self.reporters <= MAX_REPORTERS:  # each costs about 2 KB at build
             raise ConfigError("topology.reporters",
                               f"must be in [1, {MAX_REPORTERS}], got {self.reporters}")
@@ -139,10 +165,10 @@ class Topology:
                               f"must be >= 1, got {self.sketch.w_batch}")
         # the codec is built with the run: 2^value_bits values of cell_bits each
         value_bits, cell_bits = self.pc.value_bits, self.pc.cell_bits
-        if not (isinstance(value_bits, int) and 0 <= value_bits <= MAX_VALUE_BITS):
+        if not 0 <= value_bits <= MAX_VALUE_BITS:
             raise ConfigError("topology.pc.value_bits",
                               f"must be an int in [0, {MAX_VALUE_BITS}], got {value_bits!r}")
-        if not (isinstance(cell_bits, int) and 1 <= cell_bits <= 64):
+        if not 1 <= cell_bits <= 64:
             raise ConfigError("topology.pc.cell_bits",
                               f"must be an int in [1, 64], got {cell_bits!r}")
 
@@ -166,6 +192,7 @@ class Workload:
     path_len_fixed: Optional[int] = None  # postcards: fixed path length
 
     def __post_init__(self):
+        _type_leaves(self, "workload")
         try:
             self.kind = WorkloadKind(self.kind)
         except ValueError:
@@ -278,6 +305,7 @@ class Translator:
     def __init__(self, topology: Topology, report: RunReport, fault_rng: random.Random):
         t = topology
         self.topology = t
+        self.reporters = t.reporters  # read per datagram
         self.report = report
         self.family = HashFamily(t.hash_seed)
         # sub-regions in table order, refused past the ceiling before any is allocated
@@ -309,7 +337,7 @@ class Translator:
         except wire.WireError:
             self.report.malformed += 1  # changes no other state
             return
-        if packet.reporter_id >= self.topology.reporters:
+        if packet.reporter_id >= self.reporters:
             self.report.malformed += 1  # no such reporter: no sequence or audit to touch
             return
         if type(packet) is not wire.DtaPacket:
@@ -624,12 +652,10 @@ def _build(cls, data: dict, path: str):
         where = f"{path}.{key}"
         if key not in declared:
             raise ConfigError(where, "unknown field")
-        section, default = declared[key].default_factory, declared[key].default
+        section = declared[key].default_factory
         if is_dataclass(section):  # a nested section such as topology.link
             value = _build(section, value, where)
-        elif default is not MISSING:  # the required workload.kind: Workload checks it
-            check_leaf(where, value, default)
-        kwargs[key] = value
+        kwargs[key] = value  # each config types its own leaves
     return cls(**kwargs)
 
 

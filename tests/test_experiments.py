@@ -222,11 +222,21 @@ def _pc_monte_carlo_recomputing(chunks, hops, cell_bits, value_bits, redundancy,
     (128, 7, 8, 6, 2, 0.5, 400, 7),    # B + N = 9: two digest blocks per flow
     (32, 3, 6, 5, 1, 1.0, 400, 8),     # B = 3, N = 1
 ], ids=["age0", "age2", "age3", "alpha1.5", "hops7-n2", "hops3-n1"])
-def test_pc_oracle_ring_matches_recomputed_paths(args):
+def test_pc_oracle_ring_matches_recomputed_paths(args, monkeypatch):
     """The engine keeps each written path in a ring of age + 1 entries; a path still has
     its entry when it is checked, so the counts equal those of an oracle that hashes it
-    again."""
+    again.  Its oracle re-decodes only a path holding a flagged value: every case checks
+    paths with such a value and paths without, so both branches run."""
+    holds_flagged = []
+    canonical = ValueCodec.canonical
+
+    def spy(codec, values):
+        holds_flagged.append(any(codec._flags[v >> 3] >> (v & 7) & 1 for v in values))
+        return canonical(codec, values)
+
+    monkeypatch.setattr(ValueCodec, "canonical", spy)
     assert pc_monte_carlo(*args) == _pc_monte_carlo_recomputing(*args)
+    assert any(holds_flagged) and not all(holds_flagged)
 
 
 def _kw_monte_carlo_recomputing(buflen, checksum_bits, value_len, redundancy, alpha, queries,

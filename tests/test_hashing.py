@@ -1,6 +1,7 @@
+import random
 import struct
 import tracemalloc
-from hashlib import blake2b
+from hashlib import blake2b, sha256
 
 import pytest
 from hypothesis import example, given, settings
@@ -286,6 +287,53 @@ def test_decode_matches_value_by_value_build(universe_size, bits, extra_codes):
     codes += [width, width + 1, 2 * width - 1, width << 6, (1 << 80) + 5] + extra_codes
     for code in codes:
         assert codec.decode(code) == table.get(code)
+
+
+def flagged(codec: ValueCodec, v: int) -> bool:
+    """Whether the codec's build flagged ``v`` as not decoding to itself."""
+    return bool(codec._flags[v >> 3] >> (v & 7) & 1)
+
+
+@pytest.mark.parametrize("universe_size,bits", [
+    (64, 4),  # 50 collisions, 6 values on BLANK's code
+    (1 << 10, 8),  # 774 collisions
+    (1 << 12, 12),  # 1,514 collisions
+])
+def test_flags_mark_exactly_the_values_that_decode_to_another(universe_size, bits):
+    """One bit per value, set exactly when ``decode(encode(v)) != v``; ``canonical`` equals
+    the per-cell decode of every tuple, and returns an unflagged one itself."""
+    codec = ValueCodec(FAM, universe_size, bits)
+    assert len(codec._flags) == (universe_size + 7) // 8
+    moved = [v for v in range(universe_size) if codec.decode(codec.encode(v)) != v]
+    assert [v for v in range(universe_size) if flagged(codec, v)] == moved
+    assert len(moved) == codec.collisions == sum(bin(octet).count("1") for octet in codec._flags)
+    on_blank = [v for v in range(universe_size) if codec.encode(v) == codec.encode(BLANK)]
+    assert set(on_blank) <= set(moved)
+    if universe_size == 64:
+        assert (codec.collisions, len(on_blank)) == (50, 6)
+    kept = [v for v in range(universe_size) if not flagged(codec, v)]
+    rng = random.Random(universe_size)
+    for _ in range(500):
+        values = tuple(rng.choice(moved if rng.random() < 0.3 else kept)
+                       for _ in range(rng.randint(0, 8)))
+        expected = tuple(codec.decode(codec.encode(v)) for v in values)
+        assert codec.canonical(values) == expected
+        if not any(flagged(codec, v) for v in values):
+            assert codec.canonical(values) is values
+    assert codec.canonical(tuple(on_blank)) == (BLANK,) * len(on_blank)
+
+
+@pytest.mark.parametrize("seed,universe_size,bits,digest", [
+    (0x5EED, 1 << 12, 12, "027582a9daa993e2593cbbcf0240fc05913189010b3940a109575adb490f006d"),
+    (1, 1 << 10, 32, "6829673d0dc62759e717cd9251e73de2466cf39b4a8b8d9b24e24f544aacf27e"),
+])
+def test_codec_tables_are_pinned(seed, universe_size, bits, digest):
+    """``_codes`` then ``_index``, little-endian: every cell and every decode depends on
+    them, so no change to the build may move an entry."""
+    codec = ValueCodec(HashFamily(seed), universe_size, bits)
+    tables = (struct.pack(f"<{len(codec._codes)}Q", *codec._codes)
+              + struct.pack(f"<{len(codec._index)}I", *codec._index))
+    assert sha256(tables).hexdigest() == digest
 
 
 def test_codec_build_peaks_under_32_octets_per_value():

@@ -692,6 +692,39 @@ def test_workload_coerces_and_checks_its_own_kind():
         assert err.value.path == "workload.kind"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Topology(pc=sim.PcConfig(hops=2.5)), "topology.pc.hops: expected int, got float"),
+    (lambda: sim.KwConfig(buflen=2.5), "topology.kw.buflen: expected int, got float"),
+    (lambda: sim.KiConfig(buflen="8"), "topology.ki.buflen: expected int, got str"),
+    (lambda: sim.AppendConfig(lists=[4]), "topology.append.lists: expected int, got list"),
+    (lambda: sim.SketchConfig(merge_op=1), "topology.sketch.merge_op: expected str, got int"),
+    (lambda: LinkConfig(loss_to_reporter="0.1"),
+     "topology.link.loss_to_reporter: expected int or float, got str"),
+    (lambda: TranslatorConfig(meter_rate=None),
+     "topology.translator.meter_rate: expected int or float, got null"),
+    (lambda: Topology(reporters=True), "topology.reporters: expected int, got bool"),
+    (lambda: Topology(pc=sim.PcConfig(value_bits=10.0)),
+     "topology.pc.value_bits: expected int, got float"),
+    (lambda: Workload(WorkloadKind.KW_FLOWS, reports="5"),
+     "workload.reports: expected int, got str"),
+    (lambda: Workload(WorkloadKind.POSTCARDS, path_len_fixed=2.0),
+     "workload.path_len_fixed: expected int or null, got float"),
+], ids=["pc-hops", "kw-buflen", "ki-buflen", "append-lists", "sketch-merge-op", "link-loss",
+        "meter-rate", "reporters", "pc-value-bits", "workload-reports", "path-len-fixed"])
+def test_a_directly_built_config_types_its_leaves(build, message):
+    """Each config types its own leaves by their defaults, as ``dta validate`` does, so a
+    bad one is refused by its full path before it reaches a store."""
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_well_typed_direct_configs_are_accepted():
+    """A float field takes an int, and a ``None`` default takes an int."""
+    assert LinkConfig(0, 0).loss_to_translator == 0
+    assert Workload(WorkloadKind.POSTCARDS, path_len_fixed=3, reports_per_step=2).reports == 1000
+
+
 @pytest.mark.parametrize("rate", [0.5, 0, float("nan")])
 def test_sub_one_offered_rate_is_refused(rate):
     """Below one report per step a reporter never sends, so the run would never end."""
