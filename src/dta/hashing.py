@@ -199,7 +199,8 @@ class ValueCodec:
                 flags[v >> 3] |= 1 << (v & 7)
             else:
                 index[i] = v + 1
-        # and every value on BLANK's code decodes to BLANK; found in place, never sliced
+        # and every value on BLANK's code decodes to BLANK; searched in place, as a
+        # slice would copy the table
         at, blank = -1, self._blank_code
         try:
             while True:
