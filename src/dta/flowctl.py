@@ -1,8 +1,10 @@
 """Reporter and translator state machines for loss recovery and rate metering.
 
-Reporters stamp every essential report with a cumulative counter and keep a
-bounded backlog of the octets of unacknowledged essential reports, resent as
-they were first sent.  The translator compares
+Reporters stamp every essential report with a cumulative counter, encode it
+straight from its body, and keep a bounded ring of the octets of the latest
+essential reports, resent as they were first sent.  The ring holds consecutive
+sequences ending at the current count, so the oldest one it holds is derived
+from its length and never stored.  The translator compares
 incoming counters against the last applied one per reporter: a gap produces a
 NACK carrying the expected sequence, and the reporter goes back and resends
 everything from there.  Retransmission duplicates are suppressed by sequence
@@ -28,7 +30,7 @@ one NACK per (reporter, gap) and one congestion signal per reporter per step.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Union
@@ -42,6 +44,7 @@ from .wire import (
     NackPacket,
     SeqResetPacket,
     encode,
+    encode_report,
 )
 
 DEFAULT_BACKLOG_CAPACITY = 256
@@ -96,8 +99,9 @@ class ReporterState:
             raise ValueError(f"backlog_capacity must be >= 1, got {backlog_capacity}")
         self.reporter_id = reporter_id
         self.essential_seq = 0
-        self.backlog: OrderedDict[int, bytes] = OrderedDict()  # seq -> octets as sent
-        self.backlog_capacity = backlog_capacity
+        # the octets as sent of the latest essential sequences, consecutive and
+        # oldest first: the newest is essential_seq, the oldest derived from the length
+        self.backlog: deque[bytes] = deque(maxlen=backlog_capacity)
         self.max_rate = initial_rate
         self.rate = initial_rate
         self.evicted_unprotected = 0
@@ -107,16 +111,20 @@ class ReporterState:
         self.inbox: list[Union[NackPacket, CongestionSignal]] = []  # from the translator
 
     def send(self, body: Body, flags: int) -> bytes:
-        """Stamp and encode one report, keeping an essential one's octets in the backlog."""
-        essential = flags & FLAG_ESSENTIAL
-        if essential:
-            self.essential_seq = (self.essential_seq + 1) & _SEQ_MASK
-        octets = encode(DtaPacket(body, self.reporter_id, self.essential_seq, flags))
-        if essential:
-            if len(self.backlog) >= self.backlog_capacity:
-                self.backlog.popitem(last=False)
-                self.evicted_unprotected += 1
-            self.backlog[self.essential_seq] = octets
+        """Stamp and encode one report, keeping an essential one's octets in the backlog.
+
+        A body that does not encode raises before the sequence advances, so the
+        backlog still ends at ``essential_seq``.
+        """
+        if not flags & FLAG_ESSENTIAL:
+            return encode_report(body, self.reporter_id, self.essential_seq, flags)
+        seq = (self.essential_seq + 1) & _SEQ_MASK
+        octets = encode_report(body, self.reporter_id, seq, flags)
+        self.essential_seq = seq
+        backlog = self.backlog
+        if len(backlog) == backlog.maxlen:  # the append pushes out the oldest
+            self.evicted_unprotected += 1
+        backlog.append(octets)
         return octets
 
     def heartbeat(self) -> bytes:
@@ -134,14 +142,14 @@ class ReporterState:
         translator stops waiting for the lost reports.
         """
         backlog, out = self.backlog, []
-        oldest = next(iter(backlog), (self.essential_seq + 1) & _SEQ_MASK)
+        oldest = (self.essential_seq + 1 - len(backlog)) & _SEQ_MASK
         at = (nack.expected_essential_seq - oldest) & _SEQ_MASK
         if at >= len(backlog):
             if at <= _SEQ_HALF:  # at or ahead of the next sequence: nothing to resend
                 return out
             out.append(encode(SeqResetPacket(self.reporter_id, oldest)))
             at = 0
-        out += islice(backlog.values(), at, None)
+        out += islice(backlog, at, None)
         self.retransmissions += len(backlog) - at
         return out
 

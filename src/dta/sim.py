@@ -223,6 +223,7 @@ class RunReport:
     reports_applied: int = 0
     reports_refused: int = 0  # delivered in order, refused by its store
     retransmissions: int = 0
+    backlog_evictions: int = 0  # essential reports pushed out of a full reporter backlog
     keepalives: int = 0
     nacks_sent: int = 0
     nacks_lost: int = 0
@@ -564,6 +565,7 @@ class Simulation:
         report.steps = steps
         report.unrecoverable = flow.skipped_unrecoverable
         report.retransmissions = sum(r.retransmissions for r in self.reporters)
+        report.backlog_evictions = sum(r.evicted_unprotected for r in self.reporters)
         report.nacks_sent = flow.nacks_sent
         report.congestion_signals = flow.congestion_signals
         report.duplicates_suppressed = flow.duplicates_suppressed

@@ -12,8 +12,12 @@ evicted from its backlog.
 ``LAYOUT`` is the one place the formats live: for each kind, its fixed fields
 after the envelope and version/kind octet, by name and struct code.  encode
 and decode each run one precompiled ``struct.Struct`` per packet built from
-it, and decode walks it, on its failure path only, to name the field that does
+it, and each walks it, on its failure path only, to name the field that does
 not fit.
+
+``encode_report`` encodes a report straight from its body and header fields,
+so a reporter builds no ``DtaPacket`` to send one; it holds the one body
+dispatch and MTU check, and ``encode`` hands it a report packet's own fields.
 
 Encoding is canonical: decode(encode(p)) == p for every valid packet, and
 decode rejects any octet string encode could not have produced, naming the
@@ -203,43 +207,68 @@ def _check_u(name: str, value: int, limit: int) -> None:
         raise ValueError(f"{name} must be in [0, {limit}], got {value}")
 
 
+def _pack(kind: int, fields: tuple, tail: bytes, version: int, src_port: int,
+          dst_port: int) -> bytes:
+    """Pack one packet of ``kind``; ValueError names the first field out of its range."""
+    layout = _STRUCT[kind]
+    try:
+        return layout.pack(src_port, dst_port, layout.size + len(tail), version << 4 | kind,
+                           *fields) + tail
+    except struct.error:
+        _check_u("version", version, 15)
+        head = (src_port, dst_port, layout.size + len(tail), version << 4 | kind)
+        for (name, code), value in zip(_ENVELOPE + LAYOUT[kind], head + fields):
+            _check_u(name, value, (1 << 8 * struct.calcsize(code)) - 1)
+        raise
+
+
+def encode_report(body: Body, reporter_id: int, essential_seq: int, flags: int,
+                  version: int = 1, src_port: int = DEFAULT_SRC_PORT,
+                  dst_port: int = DEFAULT_DST_PORT) -> bytes:
+    """Canonical octets of the report these fields and ``body`` make, with no DtaPacket built.
+
+    The one body dispatch and MTU check; ValueError names a field out of range.
+    """
+    cls = type(body)
+    if cls is AppendBody:
+        kind, tail = _APPEND, body.entry
+        fields = (flags, reporter_id, essential_seq, body.list_id)
+    elif cls is KeyIncrementBody:
+        kind, tail = _KEY_INCREMENT, body.key
+        fields = (flags, reporter_id, essential_seq, body.redundancy, len(tail), body.delta)
+    elif cls is KeyWriteBody:
+        kind, tail = _KEY_WRITE, body.key + body.value
+        fields = (flags, reporter_id, essential_seq, body.redundancy, len(body.key))
+    elif cls is SketchMergeBody:
+        kind = _SKETCH_MERGE
+        fields = (flags, reporter_id, essential_seq, body.col_index, len(body.values))
+        try:
+            tail = struct.pack(f">{len(body.values)}Q", *body.values)
+        except struct.error:
+            for v in body.values:
+                _check_u("counter", v, _U64)
+            raise
+    elif cls is PostcardBody:
+        if body.path_len == 0:
+            raise ValueError("path_len 0 is reserved for 'not provided'; use None")
+        kind, tail = _POSTCARDING, b""
+        fields = (flags, reporter_id, essential_seq, body.flow_id, body.hop, body.path_len or 0,
+                  body.value)
+    else:
+        raise TypeError(f"unknown body {body!r}")
+    if len(tail) > MAX_PAYLOAD:
+        raise ValueError(f"payload of {len(tail)}B exceeds {MAX_PAYLOAD}B MTU budget")
+    return _pack(kind, fields, tail, version, src_port, dst_port)
+
+
 def encode(packet: Packet) -> bytes:
     """Canonical octets of a report or control packet; ValueError names a field out of range."""
-    p, tail, version = packet, b"", 1
+    p = packet
     cls = type(p)
     if cls is DtaPacket:
-        body, version = p.body, p.version
-        cls = type(body)
-        if cls is AppendBody:
-            kind, tail = _APPEND, body.entry
-            fields = (p.flags, p.reporter_id, p.essential_seq, body.list_id)
-        elif cls is KeyIncrementBody:
-            kind, tail = _KEY_INCREMENT, body.key
-            fields = (p.flags, p.reporter_id, p.essential_seq, body.redundancy, len(tail),
-                      body.delta)
-        elif cls is KeyWriteBody:
-            kind, tail = _KEY_WRITE, body.key + body.value
-            fields = (p.flags, p.reporter_id, p.essential_seq, body.redundancy, len(body.key))
-        elif cls is SketchMergeBody:
-            kind = _SKETCH_MERGE
-            fields = (p.flags, p.reporter_id, p.essential_seq, body.col_index, len(body.values))
-            try:
-                tail = struct.pack(f">{len(body.values)}Q", *body.values)
-            except struct.error:
-                for v in body.values:
-                    _check_u("counter", v, _U64)
-                raise
-        elif cls is PostcardBody:
-            if body.path_len == 0:
-                raise ValueError("path_len 0 is reserved for 'not provided'; use None")
-            kind = _POSTCARDING
-            fields = (p.flags, p.reporter_id, p.essential_seq, body.flow_id, body.hop,
-                      body.path_len or 0, body.value)
-        else:
-            raise TypeError(f"unknown body {body!r}")
-        if len(tail) > MAX_PAYLOAD:
-            raise ValueError(f"payload of {len(tail)}B exceeds {MAX_PAYLOAD}B MTU budget")
-    elif cls is NackPacket:
+        return encode_report(p.body, p.reporter_id, p.essential_seq, p.flags, p.version,
+                             p.src_port, p.dst_port)
+    if cls is NackPacket:
         kind, fields = _NACK, (p.reporter_id, p.expected_essential_seq)
     elif cls is CongestionSignal:
         kind, fields = _CONGESTION, (p.reporter_id, REDUCE_RATE)
@@ -247,16 +276,7 @@ def encode(packet: Packet) -> bytes:
         kind, fields = _SEQ_RESET, (p.reporter_id, p.new_expected)
     else:
         raise TypeError(f"cannot encode {packet!r}")
-    layout = _STRUCT[kind]
-    try:
-        return layout.pack(p.src_port, p.dst_port, layout.size + len(tail), version << 4 | kind,
-                           *fields) + tail
-    except struct.error:
-        _check_u("version", version, 15)
-        head = (p.src_port, p.dst_port, layout.size + len(tail), version << 4 | kind)
-        for (name, code), value in zip(_ENVELOPE + LAYOUT[kind], head + fields):
-            _check_u(name, value, (1 << 8 * struct.calcsize(code)) - 1)
-        raise
+    return _pack(kind, fields, b"", 1, p.src_port, p.dst_port)
 
 
 def _too_short(kind: int, n: int) -> WireError:

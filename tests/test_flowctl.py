@@ -1,4 +1,9 @@
+from collections import OrderedDict
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dta.flowctl import (
     DEFAULT_BACKLOG_CAPACITY,
@@ -17,11 +22,17 @@ from dta.wire import (
     NackPacket,
     SeqResetPacket,
     decode,
+    encode,
     make_flags,
 )
 
 ESSENTIAL = make_flags(essential=True)
 REPORT = AppendBody(0, b"\x01\x02\x03\x04")
+
+
+def backlog_seqs(rep):
+    """The sequences the backlog's octets carry, in the backlog's order."""
+    return [decode(o).essential_seq for o in rep.backlog]
 
 
 def test_default_backlog_matches_reference_deployment():
@@ -33,7 +44,7 @@ def test_essential_sends_stamp_sequentially_and_backlog_grows():
     for _ in range(3):
         rep.send(REPORT, ESSENTIAL)
     assert rep.essential_seq == 3
-    assert sorted(rep.backlog) == [1, 2, 3]
+    assert backlog_seqs(rep) == [1, 2, 3]
 
 
 def test_non_essential_carries_count_without_increment():
@@ -51,8 +62,18 @@ def test_backlog_overflow_evicts_oldest():
     rep = ReporterState(0, backlog_capacity=4)
     for _ in range(6):
         rep.send(REPORT, ESSENTIAL)
-    assert sorted(rep.backlog) == [3, 4, 5, 6]
+    assert backlog_seqs(rep) == [3, 4, 5, 6]
     assert rep.evicted_unprotected == 2
+
+
+def test_a_body_that_does_not_encode_takes_no_sequence():
+    rep = ReporterState(0, backlog_capacity=2)
+    rep.send(REPORT, ESSENTIAL)
+    with pytest.raises(ValueError, match="list_id"):
+        rep.send(AppendBody(1 << 32, b""), ESSENTIAL)
+    assert rep.essential_seq == 1 and backlog_seqs(rep) == [1]
+    rep.send(REPORT, ESSENTIAL)
+    assert backlog_seqs(rep) == [1, 2] and rep.evicted_unprotected == 0
 
 
 def test_in_order_sequence_processes():
@@ -305,7 +326,7 @@ def reporter_with_backlog(seqs, capacity=DEFAULT_BACKLOG_CAPACITY):
     rep.essential_seq = (seqs[0] - 1) & 0xFFFFFFFF
     for _ in seqs:
         rep.send(REPORT, ESSENTIAL)
-    assert list(rep.backlog) == seqs[-capacity:]
+    assert backlog_seqs(rep) == seqs[-capacity:]
     return rep
 
 
@@ -365,3 +386,68 @@ def test_translator_follows_the_sequence_across_the_wrap():
     ahead = decode(rep.send(REPORT, ESSENTIAL))  # seq 2
     assert flow.receive(ahead, 1) is False
     assert flow.controls == [NackPacket(0, 1)]
+
+
+class OrderedDictBacklog:
+    """Reference model: the backlog as an OrderedDict keyed by sequence, evicted by popitem."""
+
+    def __init__(self, capacity, essential_seq):
+        self.capacity = capacity
+        self.essential_seq = essential_seq
+        self.backlog = OrderedDict()  # seq -> octets as sent
+        self.evicted_unprotected = 0
+        self.retransmissions = 0
+
+    def send(self, body, flags):
+        essential = flags & FLAG_ESSENTIAL
+        if essential:
+            self.essential_seq = (self.essential_seq + 1) & 0xFFFFFFFF
+        octets = encode(DtaPacket(body, 0, self.essential_seq, flags))
+        if essential:
+            if len(self.backlog) >= self.capacity:
+                self.backlog.popitem(last=False)
+                self.evicted_unprotected += 1
+            self.backlog[self.essential_seq] = octets
+        return octets
+
+    def handle_nack(self, nack):
+        backlog, out = self.backlog, []
+        oldest = next(iter(backlog), (self.essential_seq + 1) & 0xFFFFFFFF)
+        at = (nack.expected_essential_seq - oldest) & 0xFFFFFFFF
+        if at >= len(backlog):
+            if at <= 1 << 31:
+                return out
+            out.append(encode(SeqResetPacket(0, oldest)))
+            at = 0
+        out += islice(backlog.values(), at, None)
+        self.retransmissions += len(backlog) - at
+        return out
+
+
+# a send (essential or not) or a NACK at an offset from the current count:
+# behind, inside and ahead of a backlog of up to 8, or anywhere in the space
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.booleans()),
+    st.tuples(st.just("nack"), st.integers(-12, 3) | st.integers(0, 2**32 - 1)),
+), max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 8), st.just(0) | st.integers(2**32 - 12, 2**32 - 1)
+       | st.integers(0, 2**32 - 1), STEPS)
+def test_ring_backlog_matches_the_ordered_dict_model(capacity, start, steps):
+    rep = ReporterState(0, backlog_capacity=capacity)
+    rep.essential_seq = start
+    model = OrderedDictBacklog(capacity, start)
+    for i, (op, arg) in enumerate(steps):
+        if op == "send":
+            body, flags = AppendBody(i, b"x"), make_flags(essential=arg)
+            assert rep.send(body, flags) == model.send(body, flags)
+        else:
+            nack = NackPacket(0, (rep.essential_seq + arg) & 0xFFFFFFFF)
+            # the same octets: the same sequence reset, if any, then the same resends
+            assert rep.handle_nack(nack) == model.handle_nack(nack)
+        assert rep.essential_seq == model.essential_seq
+        assert list(rep.backlog) == list(model.backlog.values())
+        assert rep.retransmissions == model.retransmissions
+        assert rep.evicted_unprotected == model.evicted_unprotected

@@ -96,7 +96,7 @@ def test_applying_a_report_twice_breaks_the_audit():
     wl = Workload(kind=WorkloadKind.KI_COUNTERS, reports=50)
     s = Simulation(topo, wl, seed=2)
     assert s.run().exactly_once_ok
-    again = wire.decode(s.reporters[0].backlog[7])
+    again = next(p for p in map(wire.decode, s.reporters[0].backlog) if p.essential_seq == 7)
     s.translator.apply(again)
     assert not s._exactly_once()
     s.translator.applied_seqs[0].remove(9)  # the count balances again; the duplicate stays
@@ -747,10 +747,10 @@ def test_config_roundtrip_build():
 
 # Counters every loss-free, fault-free run shares; each pinned case below
 # gives the fields its run changes.
-_CLEAN = dict(packets_lost=0, malformed=0, retransmissions=0, nacks_sent=0, nacks_lost=0,
-              duplicates_suppressed=0, congestion_signals=0, diverted=0,
-              dropped_low_priority=0, unrecoverable=0, verbs_faulted=0, qp_desyncs=0,
-              reports_refused=0, drained=True, exactly_once_ok=True)
+_CLEAN = dict(packets_lost=0, malformed=0, retransmissions=0, backlog_evictions=0,
+              nacks_sent=0, nacks_lost=0, duplicates_suppressed=0, congestion_signals=0,
+              diverted=0, dropped_low_priority=0, unrecoverable=0, verbs_faulted=0,
+              qp_desyncs=0, reports_refused=0, drained=True, exactly_once_ok=True)
 
 PINNED_RUNS = {
     "kw-flows": (
@@ -789,6 +789,7 @@ PINNED_RUNS = {
         Workload(WorkloadKind.KI_COUNTERS, 2000, reports_per_step=64),
         dict(workload_kind="ki-counters", steps=15, reports_offered=2000, packets_sent=2985,
              packets_lost=35, reports_applied=2000, retransmissions=984, keepalives=1,
+             backlog_evictions=976,  # 500 essential reports per reporter into 256 slots
              nacks_sent=29, nacks_lost=1, duplicates_suppressed=44, verbs_applied=4000,
              memory_sha256="9a80232a28d4b3a23e3cf150d2dfcc337442916b3d123f211f64e47526e9c1b6"),
     ),
@@ -796,7 +797,8 @@ PINNED_RUNS = {
         Topology(reporters=1, translator=TranslatorConfig(fault_drop_verbs=0.02)),
         Workload(WorkloadKind.KW_FLOWS, 500, reports_per_step=64),
         dict(workload_kind="kw-flows", steps=9, reports_offered=500, packets_sent=501,
-             reports_applied=500, keepalives=1, verbs_applied=976, verbs_faulted=24,
+             reports_applied=500, keepalives=1, backlog_evictions=244, verbs_applied=976,
+             verbs_faulted=24,
              qp_desyncs=24,
              memory_sha256="e2a2663eccba28748b268887151966d6b1505f167f2af4e8177c0ccf701f1e14"),
     ),

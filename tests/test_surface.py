@@ -61,9 +61,9 @@ ENUMS = {"Kind", "Outcome", "QueryPolicy", "EmissionReason", "Domain"}
 
 
 @pytest.mark.parametrize("fn", [
-    wire.encode, wire.decode, memstore.apply_verb, sim.Collector.apply, sim.Translator.receive,
-    sim.Translator.apply, sim.Translator._apply, counters.ki_increment, keywrite.kw_write,
-    keywrite.kw_query, hashing.HashFamily.cache_slot, postcarding.pc_ingest,
+    wire.encode, wire.encode_report, wire.decode, memstore.apply_verb, sim.Collector.apply,
+    sim.Translator.receive, sim.Translator.apply, sim.Translator._apply, counters.ki_increment,
+    keywrite.kw_write, keywrite.kw_query, hashing.HashFamily.cache_slot, postcarding.pc_ingest,
     postcarding.pc_write, postcarding.pc_query,
 ], ids=lambda fn: fn.__qualname__)
 def test_per_report_paths_read_no_enum_member(fn):

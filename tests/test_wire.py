@@ -27,6 +27,7 @@ from dta.wire import (
     WireError,
     decode,
     encode,
+    encode_report,
     make_flags,
 )
 
@@ -391,3 +392,40 @@ def test_decode_matches_reference_on_mutated_encodings(packet, data):
     blobs += [bytes(flipped), extra, with_length(bytearray(extra))]
     for blob in blobs:
         assert outcome(decode, blob) == outcome(reference_decode, blob)
+
+
+@settings(max_examples=500, deadline=None)
+@given(BODIES, U32, U32, U8, st.integers(0, 15), U16, U16)
+def test_encode_report_encodes_the_packet_its_fields_make(body, rid, seq, flags, version,
+                                                            src_port, dst_port):
+    assert encode_report(body, rid, seq, flags) == encode(DtaPacket(body, rid, seq, flags))
+    assert encode_report(body, rid, seq, flags, version, src_port, dst_port) \
+        == encode(DtaPacket(body, rid, seq, flags, version, src_port, dst_port))
+
+
+# each field's values at and just past the edges of every width on the wire
+EDGE = st.sampled_from([-1, 0, 1, 15, 16, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32,
+                        2**64 - 1, 2**64])
+WIDE = st.binary(max_size=4) | st.sampled_from([bytes(256), bytes(1400), bytes(1401)])
+ANY_BODIES = st.one_of(
+    st.builds(KeyWriteBody, EDGE, WIDE, WIDE),
+    st.builds(AppendBody, EDGE, WIDE),
+    st.builds(KeyIncrementBody, EDGE, WIDE, EDGE),
+    st.builds(SketchMergeBody, EDGE, st.lists(EDGE, max_size=3).map(tuple)),
+    st.builds(PostcardBody, EDGE, EDGE, EDGE, st.none() | EDGE),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ANY_BODIES, EDGE, EDGE, EDGE, EDGE, EDGE, EDGE)
+def test_encode_report_refuses_a_field_out_of_range_as_encode_does(body, rid, seq, flags,
+                                                                     version, src_port,
+                                                                     dst_port):
+    def result(fn):
+        try:
+            return fn()
+        except Exception as exc:  # the type and text must match, whatever they are
+            return type(exc), str(exc)
+
+    assert result(lambda: encode_report(body, rid, seq, flags, version, src_port, dst_port)) \
+        == result(lambda: encode(DtaPacket(body, rid, seq, flags, version, src_port, dst_port)))
